@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .primes import PrimeEngine, PrimeRangeError, is_prime
 
 
@@ -77,61 +79,73 @@ def ensemble_bounds(j: int, engine: PrimeEngine) -> tuple[int, int]:
     return pj * pj, pj1 * pj1
 
 
-def enumerate_ensemble(query: EnsembleQuery, engine: PrimeEngine) -> list[EnsembleEntry]:
-    """All pairs x <= y, both prime, with pi(isqrt(x*y)) = j, x in the window.
+def ensemble_arrays(j: int, x_lo: Optional[int], x_hi: Optional[int],
+                    engine: PrimeEngine) -> tuple[np.ndarray, ...]:
+    """Columns (x, y, pix, piy) of the j-ensemble with x in [x_lo, x_hi].
 
-    Sorted by N then x. For each candidate x the y-side is scanned over
-    [ceil(N_lo/x), (N_hi-1)//x] with Miller-Rabin, so the y-side never
-    needs a sieve table.
+    int64 arrays sorted by (N, x); None leaves a side of the window at
+    its natural bound (2 or p_j). No y exceeds (N_hi - 1) // x_lo,
+    so one sieve table covers the y-side: for each prime x the primes of
+    its y-window are read from that table, and their pi values follow
+    from one pi lookup at the window's lower edge.
     """
-    j = query.j
     if j < 1:
         raise ValueError("j must be >= 1")
     n_lo, n_hi = ensemble_bounds(j, engine)
-    pj = engine.nth_prime(j)
-    x_lo = max(2, query.x_min or 2)
-    x_hi = min(pj, query.x_max if query.x_max is not None else pj)
+    pj = math.isqrt(n_lo)
+    x_lo = max(2, x_lo or 2)
+    x_hi = min(pj, x_hi if x_hi is not None else pj)
+    empty = np.empty(0, dtype=np.int64)
     if x_lo > x_hi:
-        return []
-    entries = []
-    pi_cache: dict[int, int] = {}
-
-    def pi_of(v: int) -> int:
-        if v not in pi_cache:
-            pi_cache[v] = engine.pi(v)
-        return pi_cache[v]
-
-    # make sure pi lookups for the y side stay inside one sieve build
+        return empty, empty, empty, empty
     y_max = (n_hi - 1) // x_lo
     try:
         engine.ensure_limit(y_max)
     except (MemoryError, OverflowError) as exc:
         raise PrimeRangeError(f"y-side bound {y_max} too large to sieve") from exc
-
-    for x in engine.primes_between(x_lo, x_hi):
-        x = int(x)
+    table = engine.table
+    xs = table.primes_between(x_lo, x_hi)
+    pix0 = table.pi(x_lo - 1)
+    cols = ([empty], [empty], [empty], [empty])
+    for i, x in enumerate(xs.tolist()):
         y_start = max(x, -(-n_lo // x))
-        y_stop = (n_hi - 1) // x
-        for y in range(y_start, y_stop + 1):
-            if not is_prime(y):
-                continue
-            N = x * y
-            pix, piy = pi_of(x), pi_of(y)
-            entries.append(
-                EnsembleEntry(
-                    x=x, y=y, N=N, j=j, pix=pix, piy=piy,
-                    E=Fraction(pix * piy, j * j),
-                    q=Fraction(pix + piy, 2 * j),
-                    p=Fraction(piy - pix, 2 * j),
-                )
-            )
+        ys = table.primes_between(y_start, (n_hi - 1) // x)
+        if ys.size == 0:
+            continue
+        cols[0].append(np.full(ys.size, x, dtype=np.int64))
+        cols[1].append(ys)
+        cols[2].append(np.full(ys.size, pix0 + 1 + i, dtype=np.int64))
+        cols[3].append(table.pi(y_start - 1) + 1 + np.arange(ys.size, dtype=np.int64))
+    x, y, pix, piy = (np.concatenate(c) for c in cols)
+    order = np.lexsort((x, x * y))
+    return x[order], y[order], pix[order], piy[order]
+
+
+def enumerate_ensemble(query: EnsembleQuery, engine: PrimeEngine) -> list[EnsembleEntry]:
+    """All pairs x <= y, both prime, with pi(isqrt(x*y)) = j, x in the window.
+
+    Sorted by N then x. The pairs and their pi values come from
+    `ensemble_arrays`, which reads both factors off one sieve table; this
+    wrapper adds the exact rationals and the optional sqrt-vicinity
+    filter.
+    """
+    x, y, pix, piy = ensemble_arrays(query.j, query.x_min, query.x_max, engine)
+    j = query.j
+    entries = [
+        EnsembleEntry(
+            x=xv, y=yv, N=xv * yv, j=j, pix=a, piy=b,
+            E=Fraction(a * b, j * j),
+            q=Fraction(a + b, 2 * j),
+            p=Fraction(b - a, 2 * j),
+        )
+        for xv, yv, a, b in zip(x.tolist(), y.tolist(), pix.tolist(), piy.tolist())
+    ]
     if query.N_center is not None:
         h = query.sqrt_halfwidth
         if h is None:
             h = math.log(math.sqrt(query.N_center))
         c = math.sqrt(query.N_center)
         entries = [e for e in entries if abs(math.sqrt(e.N) - c) < h]
-    entries.sort(key=lambda e: (e.N, e.x))
     return entries
 
 

@@ -82,8 +82,8 @@ def _sieve_odd_page(lo_odd: int, n_odds: int, base_primes: np.ndarray) -> np.nda
 class PrimeTable:
     """Segmented sieve over odd numbers with checkpointed prime counts.
 
-    Queries are read-only after construction and safe to use from
-    multiple threads. `cached_counts[k]` = pi(upper edge of segment k).
+    `cached_counts[k]` = pi(upper edge of segment k). `pi` fills a small
+    per-segment cache of byte counts, so queries are not thread-safe.
     """
 
     limit: int
@@ -173,7 +173,11 @@ class PrimeTable:
         return 2 * (k * _PAGE_ODDS + pos) + 1
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
-        """All primes p with lo <= p <= hi, ascending."""
+        """All primes p with lo <= p <= hi, ascending, as int64.
+
+        Only the packed bytes covering [lo, hi] are unpacked, so the cost
+        is O(hi - lo) whatever the segment size.
+        """
         if hi > self.limit:
             raise PrimeRangeError(f"{hi} beyond table limit {self.limit}")
         if hi < lo:
@@ -181,12 +185,17 @@ class PrimeTable:
         out = []
         if lo <= 2 <= hi:
             out.append(np.array([2], dtype=np.int64))
-        k_lo = max(0, ((lo - 1) // 2) // _PAGE_ODDS)
-        k_hi = ((hi - 1) // 2) // _PAGE_ODDS
-        for k in range(k_lo, k_hi + 1):
-            bits = self._page_bits(k)
-            vals = 2 * (k * _PAGE_ODDS + np.nonzero(bits)[0].astype(np.int64)) + 1
-            out.append(vals[(vals >= lo) & (vals <= hi)])
+        i_lo = max(lo, 0) // 2  # odd index of the first odd >= lo
+        i_hi = (hi - 1) // 2  # odd index of the last odd <= hi
+        for k in range(i_lo // _PAGE_ODDS, i_hi // _PAGE_ODDS + 1):
+            base = k * _PAGE_ODDS
+            off_lo = max(i_lo - base, 0)
+            off_hi = min(i_hi - base, _PAGE_ODDS - 1)
+            b_lo = off_lo >> 3
+            bits = np.unpackbits(self.segments[k][b_lo : (off_hi >> 3) + 1])
+            bits = bits[off_lo - 8 * b_lo : off_hi - 8 * b_lo + 1]
+            offs = np.nonzero(bits)[0].astype(np.int64)
+            out.append(2 * (base + off_lo + offs) + 1)
         return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 

@@ -10,12 +10,13 @@ enumeration is compared against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
+from typing import Callable
 
 import numpy as np
 
-from .ensemble import EnsembleQuery, enumerate_ensemble
+from .ensemble import ensemble_arrays
 from .primes import PrimeEngine
 
 E_MAX_DEFAULT = 9.0 / 8.0
@@ -347,6 +348,47 @@ def pi_approx_detail(x: float, zeros: ZetaZerosTable, T: int) -> RiemannApprox:
     return RiemannApprox(x=x, T=T, R_value=r, eta_T=eta, pi_estimate=est)
 
 
+def inversion_objective(N: float, j: int, zeros: ZetaZerosTable,
+                        T: int) -> Callable[[float], float]:
+    """g(x) = pi~(x) pi~(N/x) / j^2, the E that x(E) inversion inverts.
+
+    g does not depend on E, so one g serves every inversion at the same
+    (N, j, T); `MemoObjective` shares its values across them.
+    """
+    j2 = float(j) * float(j)
+
+    def g(x: float) -> float:
+        return pi_approx(x, zeros, T) * pi_approx(N / x, zeros, T) / j2
+
+    return g
+
+
+@dataclass
+class MemoObjective:
+    """`inversion_objective` with every evaluated x kept, for one run.
+
+    The bisections of one Monte-Carlo run all start from the same bracket,
+    so they revisit the same midpoints; a hit returns the stored float,
+    which is exactly what a fresh evaluation would return.
+    """
+
+    g: Callable[[float], float]
+    values: dict = field(default_factory=dict, repr=False)
+    hits: int = 0
+
+    @property
+    def misses(self) -> int:
+        return len(self.values)
+
+    def __call__(self, x: float) -> float:
+        v = self.values.get(x)
+        if v is None:
+            v = self.values[x] = self.g(x)
+        else:
+            self.hits += 1
+        return v
+
+
 def invert_x_of_E(
     E: float,
     N: float,
@@ -357,6 +399,7 @@ def invert_x_of_E(
     rel_tol: float = 1e-6,
     near: float | None = None,
     window: float = 0.005,
+    objective: Callable[[float], float] | None = None,
 ) -> float:
     """Solve E = pi~(x) pi~(N/x) / j^2 for x by bracketed bisection.
 
@@ -368,12 +411,14 @@ def invert_x_of_E(
     deterministically (the probabilistic sieve reading); passing `near`
     restricts the search to near*(1 +- window) to certify a known root.
     Raises BracketError when the endpoints do not straddle the target.
+    `objective`, if given, must equal `inversion_objective(N, j, zeros, T)`
+    (a memoized copy, say); it replaces the one built here.
     """
     sqrt_n = math.sqrt(N)
-    j2 = float(j) * float(j)
+    g = objective if objective is not None else inversion_objective(N, j, zeros, T)
 
     def f(x: float) -> float:
-        return pi_approx(x, zeros, T) * pi_approx(N / x, zeros, T) / j2 - E
+        return g(x) - E
 
     if near is not None:
         # the eta oscillations can put a second crossing inside the
@@ -457,9 +502,24 @@ class SpectrumSample:
 
 @dataclass
 class MonteCarloResult:
+    """Samples of one run plus deterministic counts of what it did.
+
+    A gauge rejection drops a whole (draw, G) pair; a bracket miss drops
+    one level whose E the global bracket does not straddle. The memo
+    counts are evaluations of the inversion objective served from the
+    run's memo (hits) and computed afresh (misses).
+    """
+
     samples: list
-    failed_inversions: int
     budget: int
+    gauge_rejections: int
+    bracket_misses: int
+    memo_hits: int
+    memo_misses: int
+
+    @property
+    def failed_inversions(self) -> int:
+        return self.gauge_rejections + self.bracket_misses
 
 
 DEFAULT_G_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -478,13 +538,15 @@ def montecarlo_spectrum(
 
     Per-draw RNG substreams are derived from (seed, draw index), so any
     parallel split over draws (expressed through `first_draw` slices)
-    reproduces the serial output bit for bit.
+    reproduces the serial output bit for bit. Every inversion shares one
+    memoized objective, which lives only for this call.
     """
     sqrt_n = math.sqrt(N)
     log_sqrt = math.log(sqrt_n)
     budget = mc.samples if mc.samples is not None else measurements_budget(N)
     out = []
-    failed = 0
+    gauge_rejections = bracket_misses = 0
+    objective = MemoObjective(inversion_objective(float(N), j, zeros, mc.T))
     x_lo_global = max(N ** 0.25, 2.01)
     for i in range(first_draw, budget):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=mc.rng_seed, spawn_key=(i,)))
@@ -495,19 +557,23 @@ def montecarlo_spectrum(
             try:
                 gauge = make_gauge(n_prime, G, engine, j=j)
             except GaugeError:
-                failed += 1
+                gauge_rejections += 1
                 continue
             for k, E in energy_levels(gauge):
                 if E <= 1.0:
                     E = 1.0 + 1e-12
                 try:
                     x = invert_x_of_E(E, float(N), j, zeros, mc.T,
-                                      bracket=(x_lo_global, sqrt_n))
+                                      bracket=(x_lo_global, sqrt_n),
+                                      objective=objective)
                 except BracketError:
-                    failed += 1
+                    bracket_misses += 1
                     continue
                 out.append(SpectrumSample(E=E, x=x, k=k, G=G, xi=xi))
-    return MonteCarloResult(samples=out, failed_inversions=failed, budget=budget)
+    return MonteCarloResult(samples=out, budget=budget,
+                            gauge_rejections=gauge_rejections,
+                            bracket_misses=bracket_misses,
+                            memo_hits=objective.hits, memo_misses=objective.misses)
 
 
 @dataclass(frozen=True)
@@ -547,15 +613,6 @@ def kde_average(samples_by_level: dict, bandwidth: float | None = None) -> list[
         out.append(KDEEstimate(k=k, weights=tuple([w] * vals.size),
                                mean=mean, width2=max(width2, 0.0), bandwidth=bw))
     return out
-
-
-def kde_density(values: np.ndarray, grid: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
-    """Equal-weight Gaussian mixture rendered on a grid (integrates to ~1)."""
-    v = np.asarray(values, dtype=float)
-    h = bandwidth if bandwidth is not None else silverman_bandwidth(v)
-    z = (grid[:, None] - v[None, :]) / h
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (v.size * h * math.sqrt(2.0 * math.pi))
-    return dens
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +671,11 @@ def density_map(
     x_edges = np.linspace(x_range[0], x_range[1], bins[1] + 1)
 
     if mode == "classical":
-        entries = enumerate_ensemble(
-            EnsembleQuery(j=j, x_min=int(x_range[0]), x_max=None), engine
-        )
-        es = np.array([float(e.E) for e in entries])
-        xs = np.array([float(e.x) for e in entries])
+        x, _, pix, piy = ensemble_arrays(j, int(x_range[0]), None, engine)
+        # both operands are exact doubles below 2^53, so each division is
+        # the correctly rounded float(Fraction(pix * piy, j * j))
+        es = (pix * piy) / float(j * j)
+        xs = x.astype(float)
         if es.size == 0:
             raise DensityError("classical ensemble empty in the window")
         return _histogram2d(es, xs, e_edges, x_edges, "classical")

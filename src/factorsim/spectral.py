@@ -49,13 +49,6 @@ class SpectralSolution:
     zeros: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class SpectralConstants:
-    phi0: float = PHI0
-    C: float = 0.0  # arbitrary constant of phi(rho), fixed to 0 and absorbed
-    chi_ref: float = CHI_REF
-
-
 def alpha_of(E: float) -> complex:
     return complex(0.75, -0.25 * E)
 
@@ -262,11 +255,6 @@ def epsilon_asymptotic(q_m: float, chi: float = 0.0) -> float:
     lg = math.log(q_m)
     phi_m = q_m * q_m - lg - PHI0 + chi + CHI_REF
     return (math.tan(PHI0) + math.sin(phi_m) / math.cos(PHI0)) / lg
-
-
-def phi_of_rho(rho: float, C: float = 0.0) -> float:
-    """Slow phase phi(rho) = (1/4) log(rho) - rho/2 + C, with C absorbed."""
-    return 0.25 * math.log(rho) - 0.5 * rho + C
 
 
 def _envelope_ratio(rho: float) -> float:

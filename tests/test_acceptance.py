@@ -195,8 +195,9 @@ def test_acceptance_09_fig2_desk_scale(engine, zeros):
     for dm, tag in ((qmap, "quantum"), (cmap, "classical")):
         with open(os.path.join(ART_DIR, f"fig2_{tag}.svg"), "wb") as fh:
             fh.write(svgplot.heatmap_svg(dm.e_edges, dm.x_edges, dm.mass))
-    MANIFEST["criterion_09"] = {"metrics": metrics, "elapsed_s": elapsed,
-                                "samples": qmap.points, "seed": 42, "T": 100}
+    # wall time stays out of the tracked manifest, so reruns leave it unchanged
+    MANIFEST["criterion_09"] = {"metrics": metrics, "samples": qmap.points,
+                                "seed": 42, "T": 100}
     ok = (qmap.same_binning(cmap) and metrics["rank_correlation"] > 0.0
           and elapsed < 1800.0)
     _report(9, ok, f"rank_corr = {metrics['rank_correlation']:.3f}, "

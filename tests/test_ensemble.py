@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorsim.ensemble import (
+    EnsembleEntry,
     EnsembleQuery,
     energy,
     ensemble_bounds,
@@ -26,6 +27,33 @@ def brute_force_ensemble(j: int, engine) -> list:
             if N % x == 0 and is_prime(x) and is_prime(N // x):
                 out.append((x, N // x, N))
     return sorted(out, key=lambda t: (t[2], t[0]))
+
+
+def reference_ensemble(query: EnsembleQuery, engine) -> list:
+    """Oracle: every y of each prime x's window tested with is_prime."""
+    j = query.j
+    n_lo, n_hi = ensemble_bounds(j, engine)
+    pj = engine.nth_prime(j)
+    x_lo = max(2, query.x_min or 2)
+    x_hi = min(pj, query.x_max if query.x_max is not None else pj)
+    out = []
+    for x in range(x_lo, x_hi + 1):
+        if not is_prime(x):
+            continue
+        for y in range(max(x, -(-n_lo // x)), (n_hi - 1) // x + 1):
+            if is_prime(y):
+                pix, piy = engine.pi(x), engine.pi(y)
+                out.append(EnsembleEntry(
+                    x=x, y=y, N=x * y, j=j, pix=pix, piy=piy,
+                    E=Fraction(pix * piy, j * j),
+                    q=Fraction(pix + piy, 2 * j), p=Fraction(piy - pix, 2 * j)))
+    if query.N_center is not None:
+        h = query.sqrt_halfwidth
+        if h is None:
+            h = math.log(math.sqrt(query.N_center))
+        c = math.sqrt(query.N_center)
+        out = [e for e in out if abs(math.sqrt(e.N) - c) < h]
+    return sorted(out, key=lambda e: (e.N, e.x))
 
 
 def test_sqrt_index_examples(engine):
@@ -74,6 +102,27 @@ def test_enumerate_j1(engine):
 def test_enumerate_matches_brute_force(j, engine):
     entries = enumerate_ensemble(EnsembleQuery(j=j), engine)
     assert [(e.x, e.y, e.N) for e in entries] == brute_force_ensemble(j, engine)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 12, 50])
+def test_enumerate_matches_is_prime_reference(j, engine):
+    pj = engine.nth_prime(j)
+    n_lo, n_hi = ensemble_bounds(j, engine)
+    mid = (n_lo + n_hi) // 2
+    queries = [
+        EnsembleQuery(j=j),
+        EnsembleQuery(j=j, x_min=3),
+        EnsembleQuery(j=j, x_max=pj // 2),
+        EnsembleQuery(j=j, x_min=pj // 3, x_max=pj - 1),
+        EnsembleQuery(j=j, x_min=pj + 1),
+        EnsembleQuery(j=j, N_center=mid),
+        EnsembleQuery(j=j, x_min=2, x_max=pj, N_center=mid, sqrt_halfwidth=0.3),
+    ]
+    for query in queries:
+        got = enumerate_ensemble(query, engine)
+        assert got == reference_ensemble(query, engine), query
+        assert all(type(v) is int
+                   for e in got for v in (e.x, e.y, e.N, e.j, e.pix, e.piy))
 
 
 def test_entry_invariants(engine):

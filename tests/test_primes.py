@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorsim.primes import (
+    _PAGE_ODDS,
     PrimeEngine,
     PrimeRangeError,
     PrimeTable,
@@ -141,6 +143,28 @@ def test_sieve_vs_combinatorial(engine):
 def test_primes_between(engine):
     got = list(engine.primes_between(90, 120))
     assert got == [97, 101, 103, 107, 109, 113]
+
+
+def test_primes_between_matches_is_prime_oracle():
+    page_edge = 2 * _PAGE_ODDS + 1  # first odd of the second sieve page
+    table = PrimeTable(page_edge + 100_000)
+    rng = random.Random(5)
+    ranges = [(lo, lo + w) for lo in (0, 1, 2, 3) for w in (-1, 0, 1, 2, 9, 1000)]
+    ranges += [(page_edge - a, page_edge + b)
+               for a, b in ((0, 0), (2, 0), (1, 1), (17, 0), (0, 17), (4999, 5001))]
+    ranges += [(lo, lo + rng.randint(0, 3000))
+               for lo in (rng.randint(0, table.limit - 3000) for _ in range(40))]
+    ranges.append((table.limit - 500, table.limit))
+    for lo, hi in ranges:
+        got = table.primes_between(lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi)
+    # a range spanning both pages, checked by count
+    whole = table.primes_between(10, table.limit)
+    assert whole.size == table.pi(table.limit) - table.pi(9)
+    assert bool(np.all(np.diff(whole) > 0))
+    with pytest.raises(PrimeRangeError):
+        table.primes_between(0, table.limit + 1)
 
 
 def test_table_growth_and_contains():

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from factorsim import qsieve
 from factorsim.ensemble import EnsembleQuery, enumerate_ensemble
 from factorsim.primes import PrimeTable
 from factorsim.qsieve import (
@@ -214,6 +215,60 @@ def test_montecarlo_degenerate_window(engine, zeros):
     for s in res.samples:
         ks.setdefault(s.xi, []).append(s.k)
     assert all(v == sorted(v) for v in ks.values())
+
+
+def test_montecarlo_failure_and_memo_counts(engine, zeros, monkeypatch):
+    """Counts are deterministic; every objective evaluation is a hit or a miss."""
+    N, j = 10000019, 446  # small enough that both failure modes occur
+    G_list = (0.0, 0.5, 3.0)  # G = 3 is rejected at every draw
+    mc = MonteCarloConfig(samples=4, rng_seed=1, T=50)
+    evaluations = 0
+    pi_calls = 0
+    invert, pi = qsieve.invert_x_of_E, qsieve.pi_approx
+
+    def counting_invert(*args, objective, **kwargs):
+        def counted(x):
+            nonlocal evaluations
+            evaluations += 1
+            return objective(x)
+        return invert(*args, objective=counted, **kwargs)
+
+    def counting_pi(*args):
+        nonlocal pi_calls
+        pi_calls += 1
+        return pi(*args)
+
+    monkeypatch.setattr(qsieve, "invert_x_of_E", counting_invert)
+    monkeypatch.setattr(qsieve, "pi_approx", counting_pi)
+    a = montecarlo_spectrum(N, j, G_list, mc, zeros, engine)
+    assert a.gauge_rejections == 4 and a.bracket_misses > 0
+    assert a.failed_inversions == a.gauge_rejections + a.bracket_misses
+    assert a.memo_hits + a.memo_misses == evaluations
+    assert pi_calls == 2 * a.memo_misses
+    b = montecarlo_spectrum(N, j, G_list, mc, zeros, engine)
+    assert (a.gauge_rejections, a.bracket_misses, a.memo_hits, a.memo_misses) == \
+           (b.gauge_rejections, b.bracket_misses, b.memo_hits, b.memo_misses)
+
+
+def test_montecarlo_memo_matches_direct_inversion(engine, zeros):
+    mc = MonteCarloConfig(samples=3, rng_seed=42, T=100)
+    res = montecarlo_spectrum(N_FIG1, 10000, DEFAULT_G_GRID, mc, zeros, engine)
+    assert res.memo_hits > res.memo_misses > 0
+    bracket = (max(N_FIG1 ** 0.25, 2.01), math.sqrt(N_FIG1))
+    for s in res.samples:
+        direct = invert_x_of_E(s.E, float(N_FIG1), 10000, zeros, mc.T, bracket=bracket)
+        assert direct == s.x
+
+
+def test_density_map_classical_matches_exact_rationals(engine):
+    N, j = 7919 * 7919, 1000  # p_1000^2
+    dm = density_map(N, j, "classical", engine)
+    x_lo = make_gauge(N, 0.0, engine, j=j).B_G
+    entries = enumerate_ensemble(EnsembleQuery(j=j, x_min=x_lo), engine)
+    h, _, _ = np.histogram2d([float(e.E) for e in entries], [float(e.x) for e in entries],
+                             bins=[dm.e_edges, dm.x_edges])
+    assert dm.points == len(entries)
+    assert np.array_equal(dm.mass, h / h.sum())
 
 
 def test_kde_average_examples():
