@@ -324,21 +324,14 @@ def _cmd_trap(args) -> int:
             "level_spacing_sim": plan.level_spacing_sim,
             "level_spacing_trap": plan.level_spacing_trap,
             "flux_quanta": plan.flux_quanta,
-            "qubit_equivalent": plan.qubit_equivalent,
+            "qubit_equivalent": plan.flux_quanta,
             "measurement_budget": plan.measurement_budget,
             "diagnostics": plan.diagnostics,
         }
         print(json.dumps(out, sort_keys=True, indent=2))
         return 0
-    # zeromatch
-    plan = trap.plan_trap(args.N, 0.0, 3e-3, "electron")
-    rep = trap.zero_match_report(args.E, args.q_lo, args.q_hi, plan.params)
-    rows = [[_g(zm.q_exact), _g(zm.q_trap), _g(zm.gap)] for zm in rep]
-    _write_text(args.out, _csv(rows, ["q_exact_zero", "q_trap_zero", "gap"]))
-    _write_manifest(args.out, "trap zeromatch",
-                    {"E": args.E, "q_lo": args.q_lo, "q_hi": args.q_hi})
-    print(f"wrote {len(rep)} zero pairs to {args.out}")
-    return 0
+    return _cmd_zero_match(args, "trap zeromatch", args.q_lo, args.q_hi,
+                           {"E": args.E, "N": args.N, "q_lo": args.q_lo, "q_hi": args.q_hi})
 
 
 def _cmd_fig1(args, engine: PrimeEngine) -> int:
@@ -384,13 +377,15 @@ def _cmd_fig2(args, engine: PrimeEngine) -> int:
     return 0
 
 
-def _cmd_fig3(args) -> int:
+def _cmd_zero_match(args, command: str, q_lo: float, q_hi: float, inputs: dict) -> int:
+    """`trap zeromatch` and `fig3`: pair the exact and trap zeros over
+    [q_lo, q_hi] into a CSV; fig3's --svg adds both densities."""
     plan = trap.plan_trap(args.N, 0.0, 3e-3, "electron")
-    rep = trap.zero_match_report(args.E, 1.0, 8.0, plan.params)
+    rep = trap.zero_match_report(args.E, q_lo, q_hi, plan.params)
     rows = [[_g(zm.q_exact), _g(zm.q_trap), _g(zm.gap)] for zm in rep]
     _write_text(args.out, _csv(rows, ["q_exact_zero", "q_trap_zero", "gap"]))
-    _write_manifest(args.out, "fig3", {"E": args.E, "N": args.N})
-    if args.svg:
+    _write_manifest(args.out, command, inputs)
+    if getattr(args, "svg", False):
         d = spectral.solve_d(args.E)
         qs = [1.0 + i * 0.01 for i in range(701)]
         exact = [(q, q * abs(spectral.wavefunction(q, args.E, d)) ** 2 / q ** 2)
@@ -418,8 +413,15 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
-                for key, value in json.load(fh).items():
-                    setattr(args, key.replace("-", "_"), value)
+                overrides = json.load(fh)
+            if not isinstance(overrides, dict):
+                raise _UsageError("--config must hold a JSON object")
+            for key, value in overrides.items():
+                name = key.replace("-", "_")
+                # only flags of the parsed subcommand; cmd/sub would switch it
+                if name in ("cmd", "sub", "config") or name not in vars(args):
+                    raise _UsageError(f"--config key {key!r} is not a flag of this command")
+                setattr(args, name, value)
         engine = PrimeEngine()
         if args.cmd == "primes":
             return _cmd_primes(args, engine)
@@ -436,7 +438,7 @@ def run(argv=None) -> int:
         if args.cmd == "fig2":
             return _cmd_fig2(args, engine)
         if args.cmd == "fig3":
-            return _cmd_fig3(args)
+            return _cmd_zero_match(args, "fig3", 1.0, 8.0, {"E": args.E, "N": args.N})
         raise _UsageError(f"unknown command {args.cmd}")
     except _UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)

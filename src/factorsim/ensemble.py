@@ -17,7 +17,7 @@ import numpy as np
 from .primes import PrimeEngine, PrimeRangeError, is_prime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnsembleEntry:
     x: int
     y: int

@@ -114,11 +114,6 @@ class PrimeTable:
             lo_odd += 2 * n_odds
             done += n_odds
 
-    def _page_bits(self, k: int) -> np.ndarray:
-        n_total_odds = (self.limit - 1) // 2 + 1
-        n_odds = min(_PAGE_ODDS, n_total_odds - k * _PAGE_ODDS)
-        return np.unpackbits(self.segments[k], count=n_odds).view(bool)
-
     def _byte_cumsum(self, k: int) -> np.ndarray:
         """Cumulative prime count per packed byte of segment k (LRU-cached)."""
         cache = self.__dict__.setdefault("_cum_cache", {})
@@ -168,9 +163,16 @@ class PrimeTable:
             raise PrimeRangeError(f"nth_prime({n}) beyond table limit {self.limit}")
         k = bisect_right(self.cached_counts, n - 1)
         prev = self.cached_counts[k - 1] if k > 0 else 1
-        bits = self._page_bits(k)
-        pos = int(np.nonzero(np.cumsum(bits) == n - prev)[0][0])
-        return 2 * (k * _PAGE_ODDS + pos) + 1
+        # the byte holding the (n - prev)-th set bit of page k, then the bit;
+        # counted afresh, not through the `pi` cache: callers ask for few
+        # primes per table, and a cached page holds 2 MB for the table's life
+        cum = np.cumsum(_POPCOUNT8[self.segments[k]], dtype=np.uint32)
+        rank = n - prev
+        b = int(np.searchsorted(cum, rank))
+        if b > 0:
+            rank -= int(cum[b - 1])
+        bit = int(np.flatnonzero(np.unpackbits(self.segments[k][b : b + 1]))[rank - 1])
+        return 2 * (k * _PAGE_ODDS + 8 * b + bit) + 1
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
         """All primes p with lo <= p <= hi, ascending, as int64.
@@ -234,13 +236,6 @@ def prime_pi_lucy(n: int) -> int:
     return int(s_big[0])
 
 
-@dataclass(frozen=True)
-class PrimeCount:
-    x: int
-    count: int
-    method: str  # "sieve" | "combinatorial"
-
-
 class PrimeEngine:
     """Front door for prime queries, owning one lazily grown PrimeTable."""
 
@@ -258,23 +253,14 @@ class PrimeEngine:
     def is_prime(self, n: int) -> bool:
         return is_prime(n)
 
-    def pi(self, x: int, method: str = "auto") -> int:
+    def pi(self, x: int) -> int:
+        """Exact pi(x): the sieve table up to max(its limit, 1e8), Lucy beyond."""
         if x < 0:
             raise PrimeRangeError("pi requires x >= 0")
-        if method == "auto":
-            method = "sieve" if x <= max(self._table.limit, 10**8) else "combinatorial"
-        if method == "sieve":
-            self.ensure_limit(x)
-            return self._table.pi(x)
-        if method == "combinatorial":
+        if x > max(self._table.limit, 10**8):
             return prime_pi_lucy(x)
-        raise ValueError(f"unknown method {method!r}")
-
-    def pi_count(self, x: int, method: str = "auto") -> PrimeCount:
-        used = method
-        if method == "auto":
-            used = "sieve" if x <= max(self._table.limit, 10**8) else "combinatorial"
-        return PrimeCount(x=x, count=self.pi(x, used), method=used)
+        self.ensure_limit(x)
+        return self._table.pi(x)
 
     def nth_prime(self, n: int) -> int:
         # grow the table using the usual overshoot bound p_n < n(ln n + ln ln n)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .ensemble import ensemble_arrays
 from .primes import PrimeEngine
+from .roots import bisect_root
 
 E_MAX_DEFAULT = 9.0 / 8.0
 _FIRST_ZERO = 14.134725
@@ -420,64 +421,32 @@ def invert_x_of_E(
     def f(x: float) -> float:
         return g(x) - E
 
-    if near is not None:
-        # the eta oscillations can put a second crossing inside the
-        # window (the endpoints then share a sign), so scan for every
-        # sign change and keep the root closest to `near`
-        w = window
-        for _ in range(6):
-            lo_w = near * (1.0 - w)
-            hi_w = min(near * (1.0 + w), sqrt_n)
-            grid = np.linspace(lo_w, hi_w, 17)
-            vals = [f(float(x)) for x in grid]
-            brackets = [
-                (float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1])
-                for i in range(len(grid) - 1)
-                if vals[i] * vals[i + 1] <= 0.0
-            ]
-            if brackets:
-                break
-            w /= 3.0
-        else:
-            raise BracketError(
-                f"no sign change around {near:.6g} down to +-{w:.2g}"
-            )
-        best = None
-        for lo_b, hi_b, f_lo_b, f_hi_b in brackets:
-            lo2, hi2, fl = lo_b, hi_b, f_lo_b
-            for _ in range(200):
-                mid = 0.5 * (lo2 + hi2)
-                if (hi2 - lo2) < rel_tol * mid:
-                    break
-                fm = f(mid)
-                if fl * fm <= 0.0:
-                    hi2 = mid
-                else:
-                    lo2, fl = mid, fm
-            root = 0.5 * (lo2 + hi2)
-            if best is None or abs(root - near) < abs(best - near):
-                best = root
-        return best
-    else:
-        if bracket is None:
-            bracket = (max(N ** 0.25, 2.01), sqrt_n)
-        lo, hi = bracket
+    if near is None:
+        lo, hi = bracket if bracket is not None else (max(N ** 0.25, 2.01), sqrt_n)
         f_lo, f_hi = f(lo), f(hi)
         if f_lo * f_hi > 0.0:
             raise BracketError(
                 f"E = {E} not bracketed on [{lo:.6g}, {hi:.6g}] "
                 f"(f = {f_lo:.3g}, {f_hi:.3g})"
             )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) < rel_tol * mid:
-            return mid
-        fm = f(mid)
-        if f_lo * fm <= 0.0:
-            hi, f_hi = mid, fm
-        else:
-            lo, f_lo = mid, fm
-    return 0.5 * (lo + hi)
+        return bisect_root(f, lo, hi, f_lo, rtol=rel_tol)
+    # the eta oscillations can put a second crossing inside the window
+    # (the endpoints then share a sign), so scan for every sign change and
+    # keep the root closest to `near`; a grid sample that hits the root
+    # exactly brackets it in both cells beside it
+    w = window
+    for _ in range(6):
+        grid = np.linspace(near * (1.0 - w), min(near * (1.0 + w), sqrt_n), 17)
+        vals = [f(float(x)) for x in grid]
+        cells = [i for i in range(len(grid) - 1) if vals[i] * vals[i + 1] <= 0.0]
+        if cells:
+            break
+        w /= 3.0
+    else:
+        raise BracketError(f"no sign change around {near:.6g} down to +-{w:.2g}")
+    roots = [bisect_root(f, float(grid[i]), float(grid[i + 1]), vals[i], rtol=rel_tol)
+             for i in cells]
+    return min(roots, key=lambda r: abs(r - near))
 
 
 # ---------------------------------------------------------------------------

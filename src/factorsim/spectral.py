@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+from .roots import grid_roots
 from .special import kummer_F, kummer_U
 
 B32 = 1.5
@@ -76,96 +77,58 @@ def wavefunction(q: float, E: float, d: complex) -> complex:
     return q * cmath.exp(-0.5j * q * q) * bracket
 
 
-def _anchor_phase(E: float, d: complex, qs: list[float]) -> complex:
-    """Unit phase of Psi at its largest grid sample.
+def q_grid(u_lo: float, u_hi: float, step2: float) -> list[float]:
+    """q samples uniform in q^2 over [u_lo, u_hi], at most `step2` apart in q^2.
+
+    Zeros of both wavefunctions are ~2*pi apart in q^2, so a step2 below
+    pi puts a sign change between every pair of neighbouring zeros.
+    """
+    n = max(int((u_hi - u_lo) / step2) + 2, 8)
+    return [math.sqrt(u_lo + (u_hi - u_lo) * i / (n - 1)) for i in range(n)]
+
+
+def _zeros_on_grid(E: float, qs: list[float]) -> list[float]:
+    """Zeros of Psi(.; E) found on the ascending samples qs.
 
     Psi with d = solve_d(E) is a complex constant times a real function
-    (any ODE solution vanishing at sqrt(E) is), so dividing by this unit
-    phase makes the whole profile real up to rounding noise.
+    (any ODE solution vanishing at sqrt(E) is), so dividing by the unit
+    phase of its largest sample makes the profile real up to rounding
+    noise; the zeros are those of that real projection.
     """
+    d = solve_d(E)
     vals = [wavefunction(q, E, d) for q in qs]
     ref = max(vals, key=abs)
     if abs(ref) == 0.0:
         raise SolverError("wavefunction vanished on the whole grid")
-    return ref / abs(ref)
+    phase = ref / abs(ref)
+
+    def proj(q: float) -> float:
+        return (wavefunction(q, E, d) / phase).real
+
+    return grid_roots(proj, qs, [(v / phase).real for v in vals], 1e-12)
 
 
 def wavefunction_zeros(E: float, q_max: float, step2: float = math.pi / 8) -> list[float]:
     """All zeros of Psi in (sqrt(E), q_max], by sign change + bisection.
 
-    The grid is uniform in q^2 (zeros are ~2*pi apart there); `step2`
-    is the q^2 spacing and must stay below pi to not skip zeros.
+    `step2` is the q^2 spacing of the scan (see `q_grid`).
     """
     q0 = math.sqrt(E)
     if q_max <= q0:
         return []
-    d = solve_d(E)
-    u_lo, u_hi = E + 1e-6, q_max * q_max
-    n = max(int((u_hi - u_lo) / step2) + 2, 8)
-    qs = [math.sqrt(u_lo + (u_hi - u_lo) * i / (n - 1)) for i in range(n)]
-    phase = _anchor_phase(E, d, qs)
-
-    def proj(q: float) -> float:
-        return (wavefunction(q, E, d) / phase).real
-
-    f = [proj(q) for q in qs]
-    zeros = []
-    for i in range(n - 1):
-        if f[i] == 0.0:
-            zeros.append(qs[i])
-            continue
-        if f[i] * f[i + 1] < 0.0:
-            a_, b_ = qs[i], qs[i + 1]
-            fa = f[i]
-            for _ in range(60):
-                m = 0.5 * (a_ + b_)
-                fm = proj(m)
-                if fa * fm <= 0.0:
-                    b_ = m
-                else:
-                    a_, fa = m, fm
-                if b_ - a_ < 1e-12:
-                    break
-            zeros.append(0.5 * (a_ + b_))
+    zeros = _zeros_on_grid(E, q_grid(E + 1e-6, q_max * q_max, step2))
     return [z for z in zeros if z > q0 and z <= q_max]
 
 
 def nearest_zero(E: float, q_center: float, span_periods: int = 3) -> float:
     """The zero of Psi(.; E) closest to q_center (local scan in q^2)."""
-    d = solve_d(E)
     half = span_periods * 2.0 * math.pi
     u_c = q_center * q_center
-    u_lo = max(E + 1e-6, u_c - half)
-    u_hi = u_c + half
-    step2 = math.pi / 8.0
-    n = max(int((u_hi - u_lo) / step2) + 2, 8)
-    qs = [math.sqrt(u_lo + (u_hi - u_lo) * i / (n - 1)) for i in range(n)]
-    phase = _anchor_phase(E, d, qs)
-
-    def proj(q: float) -> float:
-        return (wavefunction(q, E, d) / phase).real
-
-    f = [proj(q) for q in qs]
-    best = None
-    for i in range(n - 1):
-        if f[i] * f[i + 1] < 0.0:
-            a_, b_ = qs[i], qs[i + 1]
-            fa = f[i]
-            for _ in range(60):
-                m = 0.5 * (a_ + b_)
-                fm = proj(m)
-                if fa * fm <= 0.0:
-                    b_ = m
-                else:
-                    a_, fa = m, fm
-                if b_ - a_ < 1e-12:
-                    break
-            z = 0.5 * (a_ + b_)
-            if best is None or abs(z - q_center) < abs(best - q_center):
-                best = z
-    if best is None:
+    qs = q_grid(max(E + 1e-6, u_c - half), u_c + half, math.pi / 8.0)
+    zeros = _zeros_on_grid(E, qs)
+    if not zeros:
         raise SolverError(f"no wavefunction zero near q = {q_center}")
-    return best
+    return min(zeros, key=lambda z: abs(z - q_center))
 
 
 def quantization_residual(E: float, q_m: float, convention: str = "q2") -> complex:

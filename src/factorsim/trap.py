@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import spectral
 from .qsieve import GaugeConfig, measurements_budget
+from .roots import grid_roots
 from .special import kummer_F, kummer_U
 
 HBAR = 1.054571817e-34  # J s
@@ -251,29 +252,8 @@ def trap_wavefunction_zeros(E: float, q_lo: float, q_hi: float,
     def f(q: float) -> float:
         return (cmath.exp(0.5j * q * q) * _trap_bracket(beta, q * q, c)).real
 
-    u_lo, u_hi = q_lo * q_lo, q_hi * q_hi
-    n = max(int((u_hi - u_lo) / step2) + 2, 8)
-    us = [u_lo + (u_hi - u_lo) * i / (n - 1) for i in range(n)]
-    qs = [math.sqrt(u) for u in us]
-    vals = [f(q) for q in qs]
-    zeros = []
-    for i in range(n - 1):
-        if vals[i] == 0.0:
-            zeros.append(qs[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            a_, b_ = qs[i], qs[i + 1]
-            fa = vals[i]
-            for _ in range(60):
-                m = 0.5 * (a_ + b_)
-                fm = f(m)
-                if fa * fm <= 0.0:
-                    b_ = m
-                else:
-                    a_, fa = m, fm
-                if b_ - a_ < 1e-12:
-                    break
-            zeros.append(0.5 * (a_ + b_))
-    return zeros
+    qs = spectral.q_grid(q_lo * q_lo, q_hi * q_hi, step2)
+    return grid_roots(f, qs, [f(q) for q in qs], 1e-12)
 
 
 @dataclass(frozen=True)
@@ -319,7 +299,6 @@ class TrapPlan:
     level_spacing_sim: float
     level_spacing_trap: float
     flux_quanta: float
-    qubit_equivalent: float
     measurement_budget: int
     diagnostics: dict = field(default_factory=dict)
 
@@ -385,7 +364,6 @@ def plan_trap(
         level_spacing_sim=spacing_sim,
         level_spacing_trap=spacing_trap,
         flux_quanta=flux_quanta(rho_m, B),
-        qubit_equivalent=flux_quanta(rho_m, B),
         measurement_budget=measurements_budget(N),
         diagnostics={
             "flux_form_gap": enc["relative_gap"],

@@ -147,6 +147,9 @@ def test_trap_zeromatch_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "q_exact_zero,q_trap_zero,gap"
     assert len(lines) >= 3
+    manifest = json.loads((tmp_path / "zm.csv.manifest.json").read_text())
+    assert manifest["command"] == "trap zeromatch"
+    assert manifest["inputs"] == {"E": 1.0, "N": 10969262131.0, "q_lo": 1.0, "q_hi": 5.0}
 
 
 def test_config_overrides_flags(tmp_path, capsys):
@@ -155,6 +158,16 @@ def test_config_overrides_flags(tmp_path, capsys):
     code, out, _ = _run(capsys, "--config", str(cfg), "primes", "pi", "3")
     assert code == 0
     assert out.strip() == "26"  # config value wins over the flag
+
+
+@pytest.mark.parametrize("cfg", [{"y": 101}, {"cmd": "fig1"}, {"sub": "nth"},
+                                 {"config": "other.json"}, {"--qmax": 3}, [101]])
+def test_config_rejects_keys_that_are_not_flags(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "--config", str(path), "primes", "pi", "3")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_fig3_csv_and_svg(tmp_path, capsys):

@@ -135,9 +135,22 @@ def test_sieve_vs_combinatorial(engine):
         x = rng.randint(10**5, 2_000_000)
         assert table.pi(x) == prime_pi_lucy(x)
     assert prime_pi_lucy(10**9) == 50847534  # classical reference count
-    a = engine.pi_count(54321, method="sieve")
-    b = engine.pi_count(54321, method="combinatorial")
-    assert a.count == b.count and a.method == "sieve" and b.method == "combinatorial"
+    assert engine.pi(54321) == prime_pi_lucy(54321)
+
+
+def test_nth_prime_across_pages():
+    table = PrimeTable(9_000_000)  # two sieve pages
+    assert len(table.cached_counts) == 2
+    primes = table.primes_between(0, table.limit)
+    assert len(primes) == table.cached_counts[-1]
+    first = table.cached_counts[0]
+    ns = [1, 2, 3, 4, 5, 8, 9, 10, 1000, first - 1, first, first + 1, first + 2,
+          len(primes) - 1, len(primes)]
+    for n in ns:
+        assert table.nth_prime(n) == primes[n - 1], n
+    rng = np.random.default_rng(5)
+    for n in rng.integers(1, len(primes) + 1, size=50):
+        assert table.nth_prime(int(n)) == primes[n - 1]
 
 
 def test_primes_between(engine):

@@ -1,0 +1,168 @@
+import math
+
+import numpy as np
+import pytest
+
+from factorsim.roots import bisect_root, grid_roots
+from factorsim.spectral import q_grid
+
+
+def ref_q_grid_scan(f, xs, fs):
+    """The zero scans of spectral and trap before `roots` existed: the
+    width is tested after each halving against 1e-12, at most 60 halvings,
+    and a sample that is exactly 0.0 is appended as a root."""
+    zeros = []
+    for i in range(len(xs) - 1):
+        if fs[i] == 0.0:
+            zeros.append(xs[i])
+            continue
+        if fs[i] * fs[i + 1] < 0.0:
+            a, b, fa = xs[i], xs[i + 1], fs[i]
+            for _ in range(60):
+                m = 0.5 * (a + b)
+                fm = f(m)
+                if fa * fm <= 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+                if b - a < 1e-12:
+                    break
+            zeros.append(0.5 * (a + b))
+    return zeros
+
+
+def ref_near_scan(f, xs, fs, rel_tol):
+    """The near= branch of invert_x_of_E before `roots` existed: every cell
+    with fs[i]*fs[i+1] <= 0 is bisected, the relative width is tested
+    before each evaluation, at most 200 halvings."""
+    out = []
+    for i in range(len(xs) - 1):
+        if fs[i] * fs[i + 1] > 0.0:
+            continue
+        lo, hi, fl = xs[i], xs[i + 1], fs[i]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (hi - lo) < rel_tol * mid:
+                break
+            fm = f(mid)
+            if fl * fm <= 0.0:
+                hi = mid
+            else:
+                lo, fl = mid, fm
+        out.append(0.5 * (lo + hi))
+    return out
+
+
+def new_near_scan(f, xs, fs, rel_tol):
+    return [bisect_root(f, xs[i], xs[i + 1], fs[i], rtol=rel_tol)
+            for i in range(len(xs) - 1) if fs[i] * fs[i + 1] <= 0.0]
+
+
+class Recorded:
+    """f with every argument it was called at kept, in order."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(x)
+        return self.f(x)
+
+
+def _q_scan_both(f, qs):
+    fs = [f(q) for q in qs]
+    ref, new = Recorded(f), Recorded(f)
+    return ref_q_grid_scan(ref, qs, fs), grid_roots(new, qs, fs, 1e-12), ref, new
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3, 1.7])
+def test_grid_roots_equals_old_q_scan_on_q_grid(phase):
+    # zeros ~2*pi apart in q^2, like both wavefunctions
+    def f(q):
+        return math.cos(0.5 * q * q + phase) / q
+
+    qs = q_grid(1.0, 144.0, math.pi / 8)
+    ref, new, rec_ref, rec_new = _q_scan_both(f, qs)
+    assert len(new) >= 20
+    assert new == ref
+    assert rec_new.calls == rec_ref.calls  # the same evaluation sequence
+
+
+def test_grid_roots_sample_on_root():
+    def f(x):
+        return (x - 1.0) * (x - 2.0) * (x - 3.0)
+
+    xs = [0.5 + 0.25 * i for i in range(13)]  # 0.5 .. 3.5, holds 1, 2 and 3
+    fs = [f(x) for x in xs]
+    assert fs.count(0.0) == 3
+    ref, new, rec_ref, rec_new = _q_scan_both(f, xs)
+    assert new == ref == [1.0, 2.0, 3.0]
+    assert rec_new.calls == rec_ref.calls == []
+
+
+def test_grid_roots_zero_at_last_sample():
+    xs = [0.0, 0.5, 1.0]
+    assert grid_roots(lambda x: x - 1.0, xs, [x - 1.0 for x in xs], 1e-12) == [1.0]
+
+
+def test_grid_roots_large_q_where_doubles_run_out():
+    # near q = 1e4 neighbouring doubles are 1.8e-12 apart, so the width
+    # never gets below 1e-12; the old 60-halving cap and the new 200 agree
+    root = 1e4 + 1.0 / 3.0
+
+    def f(q):
+        return q - root
+
+    qs = q_grid(9999.0 ** 2, 10001.0 ** 2, math.pi / 8)
+    ref, new, _, _ = _q_scan_both(f, qs)
+    assert new == ref and len(new) == 1 and abs(new[0] - root) < 1e-11
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-13])
+def test_bisect_root_equals_old_near_scan(rel_tol):
+    def f(x):
+        return math.sin(x) + 0.3 * math.sin(3.1 * x)
+
+    xs = [float(x) for x in np.linspace(2.0, 40.0, 17)]
+    fs = [f(x) for x in xs]
+    rec_ref, rec_new = Recorded(f), Recorded(f)
+    ref = ref_near_scan(rec_ref, xs, fs, rel_tol)
+    new = new_near_scan(rec_new, xs, fs, rel_tol)
+    assert len(new) >= 5
+    assert new == ref
+    assert rec_new.calls == rec_ref.calls
+
+
+def test_bisect_root_near_rule_with_sample_on_root():
+    # a sample exactly on the root brackets it in the cells on both sides
+    def f(x):
+        return (x - 2.0) * (x - 7.5)
+
+    xs = [float(x) for x in np.linspace(1.0, 3.0, 17)]
+    fs = [f(x) for x in xs]
+    assert fs[8] == 0.0
+    ref = ref_near_scan(f, xs, fs, 1e-6)
+    new = new_near_scan(f, xs, fs, 1e-6)
+    assert new == ref and len(new) == 2
+    assert new[0] < 2.0 < new[1]
+
+
+def test_bisect_root_xtol_and_rtol_add():
+    f = Recorded(lambda x: x * x - 2.0)
+    r = bisect_root(f, 1.0, 2.0, -1.0, xtol=1e-3, rtol=1e-3)
+    assert abs(r - math.sqrt(2.0)) < 2e-3
+    # the width halves from 1 until below 1e-3 + 1e-3*mid ~ 2.4e-3: 9 halvings
+    assert len(f.calls) == 9
+    # the width must fall strictly below the tolerance: 1, 1/2, 1/4 and
+    # 1/8 are all evaluated, 1/16 stops
+    g = Recorded(lambda x: x - 0.3)
+    bisect_root(g, 0.0, 1.0, -0.3, xtol=0.125)
+    assert len(g.calls) == 4
+
+
+def test_bisect_root_caps_at_200_halvings():
+    f = Recorded(lambda x: x - math.pi)
+    r = bisect_root(f, 3.0, 4.0, 3.0 - math.pi)
+    assert len(f.calls) == 200
+    assert abs(r - math.pi) <= 4e-16
