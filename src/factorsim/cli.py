@@ -9,6 +9,7 @@ reruns with the same manifest produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -126,7 +127,9 @@ def _read_density_csv(path: str):
                       mode="file", points=len(rows))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; parse_args gives each run its own namespace."""
     p = _Parser(prog="factorsim", description="factorization-ensemble simulator")
     p.add_argument("--config", help="JSON file whose entries override flags")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -214,6 +217,20 @@ def _build_parser() -> _Parser:
     q.add_argument("--svg", action="store_true")
 
     return p
+
+
+def _flag_types(parser: argparse.ArgumentParser, args) -> dict:
+    """dest -> type= converter (or None) of every flag of the parsed subcommand."""
+    flags = {}
+    while parser is not None:
+        nested = None
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                nested = action.choices[getattr(args, action.dest)]
+            elif not isinstance(action, argparse._HelpAction) and action.dest != "config":
+                flags[action.dest] = action.type
+        parser = nested
+    return flags
 
 
 def _cmd_primes(args, engine: PrimeEngine) -> int:
@@ -416,11 +433,19 @@ def run(argv=None) -> int:
                 overrides = json.load(fh)
             if not isinstance(overrides, dict):
                 raise _UsageError("--config must hold a JSON object")
+            flags = _flag_types(parser, args)
             for key, value in overrides.items():
                 name = key.replace("-", "_")
                 # only flags of the parsed subcommand; cmd/sub would switch it
-                if name in ("cmd", "sub", "config") or name not in vars(args):
+                if name not in flags:
                     raise _UsageError(f"--config key {key!r} is not a flag of this command")
+                convert = flags[name]
+                if convert is not None:
+                    # the flag's own type=, as argparse applies it to a token
+                    try:
+                        value = convert(str(value))
+                    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                        raise _UsageError(f"--config value {value!r} for {key!r}: {exc}") from None
                 setattr(args, name, value)
         engine = PrimeEngine()
         if args.cmd == "primes":

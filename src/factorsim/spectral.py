@@ -54,15 +54,20 @@ def alpha_of(E: float) -> complex:
     return complex(0.75, -0.25 * E)
 
 
+def _inner_pair(E: float) -> tuple[complex, complex]:
+    """(F, U)(a, 3/2, iE): the matching point sqrt(E), shared by d(E) and S(E, q_m)."""
+    a = alpha_of(E)
+    return kummer_F(a, B32, 1j * E), kummer_U(a, B32, 1j * E)
+
+
 def solve_d(E: float) -> complex:
     """d(E) = -F(a,3/2,iE)/U(a,3/2,iE), making Psi(sqrt(E)) = 0."""
     if E <= 0:
         raise ValueError("E must be positive")
-    a = alpha_of(E)
-    u = kummer_U(a, B32, 1j * E)
+    f, u = _inner_pair(E)
     if abs(u) < _DEGENERATE_TOL:
         raise SolverError(f"degenerate matching point: U(a,3/2,iE) ~ 0 at E={E}")
-    return -kummer_F(a, B32, 1j * E) / u
+    return -f / u
 
 
 def wavefunction(q: float, E: float, d: complex) -> complex:
@@ -131,37 +136,30 @@ def nearest_zero(E: float, q_center: float, span_periods: int = 3) -> float:
     return min(zeros, key=lambda z: abs(z - q_center))
 
 
-def quantization_residual(E: float, q_m: float, convention: str = "q2") -> complex:
+def quantization_residual(E: float, q_m: float) -> complex:
     """S(E, q_m) - 1; zero exactly at the eigenvalues.
 
-    convention='q2' evaluates the outer-wall argument as i*q_m^2 (the
-    form consistent with the wavefunction constraints); 'q4' applies the
-    square twice, i*(q_m^2)^2, for comparison only.
+    The outer-wall argument is i*q_m^2, the form consistent with the
+    wavefunction constraints.
     """
-    s = _ratio_s(E, q_m, convention)
-    return s - 1.0
+    return _ratio_s(E, q_m) - 1.0
 
 
-def _ratio_s(E: float, q_m: float, convention: str = "q2") -> complex:
-    if convention == "q2":
-        z_out = 1j * q_m * q_m
-    elif convention == "q4":
-        z_out = 1j * (q_m * q_m) ** 2
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+def _ratio_s(E: float, q_m: float, inner: tuple[complex, complex] | None = None) -> complex:
+    """S(E, q_m); `inner` is `_inner_pair(E)` when the caller already has it."""
+    f_in, u_in = inner if inner is not None else _inner_pair(E)
     a = alpha_of(E)
-    z_in = 1j * E
-    den = kummer_F(a, B32, z_in) * kummer_U(a, B32, z_out)
+    z_out = 1j * q_m * q_m
+    den = f_in * kummer_U(a, B32, z_out)
     if abs(den) < _DEGENERATE_TOL:
         raise SolverError(f"near-zero denominator in S at E={E}, q_m={q_m}")
-    num = kummer_F(a, B32, z_out) * kummer_U(a, B32, z_in)
+    num = kummer_F(a, B32, z_out) * u_in
     return num / den
 
 
 def solve_energy(
     q_m: float,
     guess: float,
-    convention: str = "q2",
     max_iter: int = 50,
     tol: float = _RESIDUAL_TOL,
     fd_step: float = 1e-6,
@@ -179,7 +177,7 @@ def solve_energy(
     E = float(guess)
     best = (math.inf, E, 0)
     for it in range(1, max_iter + 1):
-        r = quantization_residual(E, q_m, convention)
+        r = quantization_residual(E, q_m)
         if abs(r) < best[0]:
             best = (abs(r), E, it)
         if abs(r) <= tol:
@@ -187,8 +185,8 @@ def solve_energy(
             zs = wavefunction_zeros(E, q_m) if with_zeros else []
             return SpectralSolution(E=E, d=d, q_m=q_m, residual=abs(r),
                                     converged=True, iterations=it, zeros=zs)
-        rp = quantization_residual(E + fd_step, q_m, convention)
-        rm = quantization_residual(E - fd_step, q_m, convention)
+        rp = quantization_residual(E + fd_step, q_m)
+        rm = quantization_residual(E - fd_step, q_m)
         deriv = (rp - rm) / (2.0 * fd_step)
         if deriv == 0:
             break
@@ -220,9 +218,9 @@ def epsilon_asymptotic(q_m: float, chi: float = 0.0) -> float:
     return (math.tan(PHI0) + math.sin(phi_m) / math.cos(PHI0)) / lg
 
 
-def _envelope_ratio(rho: float) -> float:
+def _envelope_ratio(rho: float, inner: tuple[complex, complex] | None = None) -> float:
     """|1/S(1, rho)|: envelope floor cos(phi0), poles where cos(phi)=0."""
-    s = _ratio_s(1.0, math.sqrt(rho), "q2")
+    s = _ratio_s(1.0, math.sqrt(rho), inner)
     m = abs(s)
     if m == 0.0:
         raise SolverError(f"S vanished at rho={rho}")
@@ -242,7 +240,8 @@ def extract_phi0(rho_lo: float = 150.0, rho_hi: float = 1500.0,
     step = 2.0 * math.pi / samples_per_period
     n = int((rho_hi - rho_lo) / step) + 1
     grid = [rho_lo + i * step for i in range(n)]
-    mags = [_envelope_ratio(r) for r in grid]
+    inner = _inner_pair(1.0)
+    mags = [_envelope_ratio(r, inner) for r in grid]
     minima = []
     for i in range(1, n - 1):
         if mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]:

@@ -170,6 +170,32 @@ def test_config_rejects_keys_that_are_not_flags(tmp_path, capsys, cfg):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_config_values_go_through_the_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x": "101"}))
+    code, out, _ = _run(capsys, "--config", str(cfg), "primes", "pi", "3")
+    assert code == 0 and out.strip() == "26"
+
+
+@pytest.mark.parametrize("value", ["abc", 3.7])
+def test_config_rejects_values_the_flag_type_rejects(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x": value}))
+    code, out, err = _run(capsys, "--config", str(cfg), "primes", "pi", "3")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_config_run_leaves_the_next_run_its_defaults(tmp_path, capsys):
+    _, plain, _ = _run(capsys, "trap", "plan", "--N", "1e10")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"G": 0.2, "zero-index": 1}))
+    code, configured, _ = _run(capsys, "--config", str(cfg), "trap", "plan", "--N", "1e10")
+    assert code == 0 and configured != plain
+    code, again, _ = _run(capsys, "trap", "plan", "--N", "1e10")
+    assert code == 0 and again == plain
+
+
 def test_fig3_csv_and_svg(tmp_path, capsys):
     out = tmp_path / "f3.csv"
     code, _, _ = _run(capsys, "fig3", "--out", str(out), "--svg")

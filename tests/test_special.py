@@ -2,8 +2,10 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from factorsim import special
 from factorsim.special import (
     SpecialFunctionError,
     cdigamma,
@@ -100,7 +102,7 @@ def test_U_connection_vs_asymptotic_at_40():
 
     z = 40j
     conn = _kummer_u_connection(ALPHA1, B32, z)
-    s, _ = _asymptotic_sum(ALPHA1, ALPHA1 - B32 + 1.0, -1.0 / z)
+    s = _asymptotic_sum(ALPHA1, ALPHA1 - B32 + 1.0, -1.0 / z)
     asym = cmath.exp(-ALPHA1 * cmath.log(z)) * s
     assert relerr(conn, asym) < 1e-5
 
@@ -133,3 +135,62 @@ def test_F_pole_guard():
 def test_U_zero_argument():
     with pytest.raises(SpecialFunctionError):
         kummer_U(ALPHA1, B32, 0.0)
+
+
+def _reference_hyp_integral(a, b, z):
+    """The scalar tanh-sinh loop: one cmath.exp(log t) and one running sum per node."""
+    _, log_ts, log_1mts, log_dts = special._ts_nodes()
+    am1 = a - 1.0
+    bam1 = b - a - 1.0
+    total = 0.0 + 0.0j
+    for log_t, log_1mt, log_dt in zip(log_ts.tolist(), log_1mts.tolist(), log_dts.tolist()):
+        expo = z * cmath.exp(log_t) + am1 * log_t + bam1 * log_1mt + log_dt
+        total += cmath.exp(expo)
+    total *= 2.0 ** -special._TS_LEVEL
+    return total * cgamma(b) / (cgamma(a) * cgamma(b - a))
+
+
+def _reference_asymptotic_sum(a, c, invz):
+    """The full-length sum: every term until one stops shrinking."""
+    term = 1.0 + 0.0j
+    total = term
+    for s in range(special._MAXTERMS):
+        nxt = term * (a + s) * (c + s) * invz / (s + 1)
+        if abs(nxt) >= abs(term):
+            break
+        term = nxt
+        total += term
+    return total
+
+
+# (a, b) families as the simulator calls them: the spectral F(a, 3/2),
+# the connection formula's F(a - 1/2, 1/2) and the trap's F(beta, 1)
+_FAMILIES = {
+    "spectral": lambda E: (complex(0.75, -0.25 * E), 1.5),
+    "connection": lambda E: (complex(0.25, -0.25 * E), 0.5),
+    "trap": lambda E: (complex(0.5, 0.25 * E), 1.0),
+}
+
+
+def _fast_path_sweep():
+    rng = np.random.default_rng(20261018)
+    edges = [12.0, 17.5, 30.0, 35.0, 2500.0]
+    for family, ab in _FAMILIES.items():
+        Es = rng.uniform(0.2, 3.0, 60)
+        rs = np.concatenate([edges, np.exp(rng.uniform(math.log(12.0), math.log(2500.0), 55))])
+        for E, r in zip(Es.tolist(), rs.tolist()):
+            for sign in (1.0, -1.0):
+                a, b = ab(E)
+                yield family, a, b, complex(0.0, sign * r)
+
+
+def test_fast_paths_match_reference_loops_bit_for_bit(monkeypatch):
+    """The array tanh-sinh pass and the exact-stop asymptotic sums give
+    the same floats as the scalar loop and the full-length sums."""
+    cases = list(_fast_path_sweep())
+    fast = [(kummer_F(a, b, z), kummer_U(a, b, z)) for _, a, b, z in cases]
+    monkeypatch.setattr(special, "_hyp_integral", _reference_hyp_integral)
+    monkeypatch.setattr(special, "_asymptotic_sum", _reference_asymptotic_sum)
+    slow = [(kummer_F(a, b, z), kummer_U(a, b, z)) for _, a, b, z in cases]
+    mismatches = [(c, f, s) for c, f, s in zip(cases, fast, slow) if f != s]
+    assert not mismatches, mismatches[:3]

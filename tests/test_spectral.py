@@ -196,10 +196,3 @@ def test_nearest_zero_matches_zero_list():
     zs = wavefunction_zeros(1.0, 6.0)
     assert abs(nearest_zero(1.0, 3.9) - min(zs, key=lambda z: abs(z - 3.9))) < 1e-9
 
-
-def test_argument_convention_modes():
-    r_q2 = quantization_residual(1.05, 5.0, "q2")
-    r_q4 = quantization_residual(1.05, 5.0, "q4")
-    assert r_q2 != r_q4
-    with pytest.raises(ValueError):
-        quantization_residual(1.05, 5.0, "bogus")
