@@ -20,7 +20,6 @@ from .qsieve import (  # noqa: F401
     density_map,
     energy_levels,
     invert_x_of_E,
-    kde_average,
     make_gauge,
     measurements_budget,
     montecarlo_spectrum,

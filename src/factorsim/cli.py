@@ -22,26 +22,31 @@ from . import __version__, spectral, svgplot, trap
 from .ensemble import EnsembleQuery, enumerate_ensemble, spectrum_points
 from .primes import PrimeEngine, PrimeRangeError
 from .qsieve import (
+    DEFAULT_G_GRID,
+    GRAM_TAIL,
+    INVERT_REL_TOL,
     BracketError,
     DensityError,
+    DensityMap,
     GaugeError,
     MonteCarloConfig,
     ZetaZerosTable,
     compare_densities,
     density_map,
     invert_x_of_E,
+    montecarlo_spectrum,
 )
-from .spectral import SolverError
+from .spectral import RESIDUAL_TOL, ZERO_XTOL, SolverError
 from .special import SpecialFunctionError
 from .trap import TrapPlanError
 
 ZEROS_ENV = "FACTORSIM_ZEROS"
 
 _TOLERANCES = {
-    "quantization_residual": 1e-8,
-    "bisection_rel_tol": 1e-6,
-    "gram_tail": 1e-12,
-    "zero_bisection": 1e-12,
+    "quantization_residual": RESIDUAL_TOL,
+    "bisection_rel_tol": INVERT_REL_TOL,
+    "gram_tail": GRAM_TAIL,
+    "zero_bisection": ZERO_XTOL,
 }
 
 
@@ -121,8 +126,6 @@ def _read_density_csv(path: str):
     x_idx = {v: i for i, v in enumerate(x_lo)}
     for r in rows:
         mass[e_idx[float(r[0])], x_idx[float(r[2])]] = float(r[4])
-    from .qsieve import DensityMap
-
     return DensityMap(e_edges=e_edges, x_edges=x_edges, mass=mass,
                       mode="file", points=len(rows))
 
@@ -267,11 +270,12 @@ def _cmd_ensemble(args, engine: PrimeEngine) -> int:
 
 def _cmd_spectrum(args) -> int:
     if args.sub == "solve":
-        sol = spectral.solve_energy(args.qm, args.guess, with_zeros=True)
+        sol = spectral.solve_energy(args.qm, args.guess)
+        zeros = spectral.wavefunction_zeros(sol.E, args.qm) if sol.converged else []
         out = {
             "E": sol.E, "d_re": sol.d.real, "d_im": sol.d.imag,
             "residual": sol.residual, "converged": sol.converged,
-            "iterations": sol.iterations, "zeros": sol.zeros,
+            "iterations": sol.iterations, "zeros": zeros,
         }
         print(json.dumps(out, sort_keys=True))
         return 0 if sol.converged else 3
@@ -287,8 +291,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sieve(args, engine: PrimeEngine) -> int:
-    from .qsieve import montecarlo_spectrum, DEFAULT_G_GRID
-
     if args.sub == "run":
         zeros = _load_zeros(args.zeros)
         mc = MonteCarloConfig(samples=args.samples, rng_seed=args.seed, T=args.T)

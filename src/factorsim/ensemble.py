@@ -32,20 +32,12 @@ class EnsembleEntry:
 
 @dataclass(frozen=True)
 class EnsembleQuery:
-    """Desk-scale restriction of the full ensemble.
-
-    `x_min`/`x_max` restrict the factor window. `N_center` (optionally
-    with `sqrt_halfwidth`, default log sqrt(N_center)) additionally
-    restricts to the sqrt-vicinity |sqrt(N_k) - sqrt(N_center)| < h;
-    whether that vicinity and the pi(sqrt(N)) = j class are meant to
-    coincide is left open, so both windows are independent knobs.
-    """
+    """Desk-scale restriction of the full ensemble: `x_min`/`x_max`
+    restrict the factor window."""
 
     j: int
     x_min: Optional[int] = None
     x_max: Optional[int] = None
-    N_center: Optional[int] = None
-    sqrt_halfwidth: Optional[float] = None
 
 
 def sqrt_index(N: int, engine: PrimeEngine) -> int:
@@ -126,12 +118,11 @@ def enumerate_ensemble(query: EnsembleQuery, engine: PrimeEngine) -> list[Ensemb
 
     Sorted by N then x. The pairs and their pi values come from
     `ensemble_arrays`, which reads both factors off one sieve table; this
-    wrapper adds the exact rationals and the optional sqrt-vicinity
-    filter.
+    wrapper adds the exact rationals.
     """
     x, y, pix, piy = ensemble_arrays(query.j, query.x_min, query.x_max, engine)
     j = query.j
-    entries = [
+    return [
         EnsembleEntry(
             x=xv, y=yv, N=xv * yv, j=j, pix=a, piy=b,
             E=Fraction(a * b, j * j),
@@ -140,13 +131,6 @@ def enumerate_ensemble(query: EnsembleQuery, engine: PrimeEngine) -> list[Ensemb
         )
         for xv, yv, a, b in zip(x.tolist(), y.tolist(), pix.tolist(), piy.tolist())
     ]
-    if query.N_center is not None:
-        h = query.sqrt_halfwidth
-        if h is None:
-            h = math.log(math.sqrt(query.N_center))
-        c = math.sqrt(query.N_center)
-        entries = [e for e in entries if abs(math.sqrt(e.N) - c) < h]
-    return entries
 
 
 def spectrum_points(query: EnsembleQuery, engine: PrimeEngine) -> list[tuple[Fraction, int]]:

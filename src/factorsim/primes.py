@@ -26,6 +26,7 @@ _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 _MAX_INPUT = 1 << 64
 _COMBINATORIAL_LIMIT = 10**12
+_ENGINE_SIEVE_LIMIT = 2_000_000  # first table of a PrimeEngine; it grows on demand
 
 
 class PrimeRangeError(ValueError):
@@ -239,8 +240,8 @@ def prime_pi_lucy(n: int) -> int:
 class PrimeEngine:
     """Front door for prime queries, owning one lazily grown PrimeTable."""
 
-    def __init__(self, sieve_limit: int = 2_000_000):
-        self._table = PrimeTable(sieve_limit)
+    def __init__(self):
+        self._table = PrimeTable(_ENGINE_SIEVE_LIMIT)
 
     @property
     def table(self) -> PrimeTable:
@@ -249,9 +250,6 @@ class PrimeEngine:
     def ensure_limit(self, limit: int) -> None:
         if limit > self._table.limit:
             self._table = PrimeTable(limit)
-
-    def is_prime(self, n: int) -> bool:
-        return is_prime(n)
 
     def pi(self, x: int) -> int:
         """Exact pi(x): the sieve table up to max(its limit, 1e8), Lucy beyond."""
@@ -294,7 +292,3 @@ class PrimeEngine:
         if d_hi < d_lo or math.isclose(d_lo, d_hi, rel_tol=0.0, abs_tol=1e-12):
             return hi
         return lo
-
-    def primes_between(self, lo: int, hi: int) -> np.ndarray:
-        self.ensure_limit(hi)
-        return self._table.primes_between(lo, hi)

@@ -16,12 +16,18 @@ from typing import Callable
 
 import numpy as np
 
+from . import spectral
 from .ensemble import ensemble_arrays
 from .primes import PrimeEngine
 from .roots import bisect_root
 
 E_MAX_DEFAULT = 9.0 / 8.0
 _FIRST_ZERO = 14.134725
+
+# relative bracket width at which x(E) bisection stops
+INVERT_REL_TOL = 1e-6
+# half-width of the first `near=` scan of x(E), relative to `near`
+_NEAR_WINDOW = 0.005
 
 
 class GaugeError(ValueError):
@@ -75,7 +81,6 @@ class GaugeConfig:
     N: float
     j: int
     G: float
-    nu: float
     B_G: int
     q_G: float
     chi: float
@@ -84,12 +89,13 @@ class GaugeConfig:
     E_max: float = E_MAX_DEFAULT
 
 
-def make_gauge(N, G: float, engine: PrimeEngine, j: int = 0, nu: float = 0.375,
+def make_gauge(N, G: float, engine: PrimeEngine, j: int = 0,
                snap_to_zero: bool = False) -> GaugeConfig:
     """Populate a gauge: classical bound B_G, boundary q_G, chi, lambda, k_m.
 
-    N may be a float (the Monte-Carlo step feeds perturbed sqrt(N')^2
-    values); B_G is still snapped to the closest prime. With
+    B_G is the prime closest to (3/8) N^(1/3) (log sqrt N)^G and
+    q_G = N^(1/6) / (log sqrt N)^G. N may be a float (the Monte-Carlo
+    step feeds perturbed sqrt(N')^2 values). With
     `snap_to_zero`, q_G moves to the nearest zero of the E = 1
     wavefunction, making E = 1 an exact eigenvalue of the boundary
     (that is what makes the gauge quantum number discrete).
@@ -99,12 +105,9 @@ def make_gauge(N, G: float, engine: PrimeEngine, j: int = 0, nu: float = 0.375,
     if G < 0:
         raise GaugeError("gauge exponent must be >= 0")
     log_sqrt = 0.5 * math.log(N)
-    b_target = nu * N ** (1.0 / 3.0) * log_sqrt**G
-    B_G = engine.nearest_prime(b_target)
-    q_G = (0.375 / nu) * N ** (1.0 / 6.0) / log_sqrt**G
+    B_G = engine.nearest_prime(0.375 * N ** (1.0 / 3.0) * log_sqrt**G)
+    q_G = N ** (1.0 / 6.0) / log_sqrt**G
     if snap_to_zero:
-        from . import spectral
-
         q_G = spectral.nearest_zero(1.0, q_G)
     lam = q_G * q_G / math.sqrt(N)
     k_m = 1.5 * math.pi * log_sqrt ** (3.0 * G)
@@ -115,8 +118,7 @@ def make_gauge(N, G: float, engine: PrimeEngine, j: int = 0, nu: float = 0.375,
     if not k_m > 0.0:
         raise GaugeError("k_m must be positive")
     chi = -q_G * q_G + math.log(q_G)
-    return GaugeConfig(N=N, j=j, G=G, nu=nu, B_G=B_G, q_G=q_G, chi=chi,
-                       lam=lam, k_m=k_m)
+    return GaugeConfig(N=N, j=j, G=G, B_G=B_G, q_G=q_G, chi=chi, lam=lam, k_m=k_m)
 
 
 def qm_of_k(gauge: GaugeConfig, k: int) -> float:
@@ -124,12 +126,6 @@ def qm_of_k(gauge: GaugeConfig, k: int) -> float:
     if abs(k) > gauge.k_m + 1:
         raise ValueError(f"|k| = {abs(k)} beyond k_m = {gauge.k_m:.3f}")
     return gauge.q_G + (2.0 / 3.0) * gauge.lam * k
-
-
-def phase_step_identity(gauge: GaugeConfig, k: int) -> tuple[float, float]:
-    """(q_m(k)^2 - q_G^2, 2 pi k / k_m) for the phase-step consistency test."""
-    qm = qm_of_k(gauge, k)
-    return qm * qm - gauge.q_G**2, 2.0 * math.pi * k / gauge.k_m
 
 
 def energy_levels(gauge: GaugeConfig) -> list[tuple[int, float]]:
@@ -151,8 +147,6 @@ def exact_energy_levels(gauge: GaugeConfig, k_max: int | None = None) -> list[tu
     from the previous root shifted by the first-order spacing, which
     keeps every solve inside its own basin.
     """
-    from . import spectral
-
     spacing = 2.0 * math.pi / (gauge.k_m * math.log(gauge.q_G))
     if k_max is None:
         k_max = int(gauge.k_m) + 1
@@ -166,7 +160,7 @@ def exact_energy_levels(gauge: GaugeConfig, k_max: int | None = None) -> list[tu
     return levels
 
 
-def measurements_budget(N, G: float = 0.0) -> int:
+def measurements_budget(N) -> int:
     """Default sample budget ceil((log sqrt(N))^3); cubic in digit count."""
     if N < math.e**2:
         raise ValueError("budget needs N >= e^2")
@@ -176,57 +170,41 @@ def measurements_budget(N, G: float = 0.0) -> int:
 # ---------------------------------------------------------------------------
 # Riemann prime-counting approximations
 
-_ZETA_CACHE: list = []
-
 
 def _zeta_int(k: int) -> float:
-    """zeta(k) for integer k >= 2 (Euler-Maclaurin, cached)."""
-    while len(_ZETA_CACHE) <= k:
-        _ZETA_CACHE.append(None)
-    if _ZETA_CACHE[k] is None:
-        N = 20
-        s = sum(n ** (-float(k)) for n in range(1, N))
-        s += N ** (1.0 - k) / (k - 1.0) + 0.5 * N ** (-float(k))
-        s += k * N ** (-k - 1.0) / 12.0
-        s -= k * (k + 1) * (k + 2) * N ** (-k - 3.0) / 720.0
-        _ZETA_CACHE[k] = s
-    return _ZETA_CACHE[k]
+    """zeta(k) for integer k >= 2 (Euler-Maclaurin)."""
+    N = 20
+    s = sum(n ** (-float(k)) for n in range(1, N))
+    s += N ** (1.0 - k) / (k - 1.0) + 0.5 * N ** (-float(k))
+    s += k * N ** (-k - 1.0) / 12.0
+    s -= k * (k + 1) * (k + 2) * N ** (-k - 3.0) / 720.0
+    return s
 
 
-_GRAM_NMAX = 192
-_GRAM_ZINV = None
+# Gram-series coefficients 1 / (n zeta(n+1)), n = 1..192
+_GRAM_ZINV = np.array([1.0 / (n * _zeta_int(n + 1)) for n in range(1, 193)])
+# the last Gram term must fall below this fraction of R(x)
+GRAM_TAIL = 1e-12
 
 
-def _gram_zinv() -> np.ndarray:
-    global _GRAM_ZINV
-    if _GRAM_ZINV is None:
-        _GRAM_ZINV = np.array(
-            [1.0 / (n * _zeta_int(n + 1)) for n in range(1, _GRAM_NMAX + 1)]
-        )
-    return _GRAM_ZINV
-
-
-def riemann_R(x: float, terms: int | None = None, tail: float = 1e-12) -> float:
+def riemann_R(x: float) -> float:
     """Gram series R(x) = 1 + sum_n (log x)^n / (n n! zeta(n+1)).
 
     All terms are positive for x > 1, so the sum is stable; the tail is
-    bounded by the first omitted term, enforced against `tail`.
-    Supports x up to ~1e12 (log x ~ 28, well inside the fixed term
-    budget) in double precision.
+    bounded by the last of the 192 terms, which must stay below
+    GRAM_TAIL times the total. Supports x up to ~1e12 (log x ~ 28, well
+    inside the term budget) in double precision.
     """
     if x <= 1.0:
         if x == 1.0:
             return 1.0
         raise ValueError("riemann_R needs x > 1")
     s = math.log(x)
-    n = terms if terms is not None else _GRAM_NMAX
-    if n > _GRAM_NMAX:
-        raise ValueError(f"terms capped at {_GRAM_NMAX}")
-    pow_over_fact = np.cumprod(s / np.arange(1.0, n + 1.0))
-    adds = pow_over_fact * _gram_zinv()[:n]
+    pow_over_fact = np.cumprod(s / np.arange(1.0, _GRAM_ZINV.size + 1.0))
+    adds = pow_over_fact * _GRAM_ZINV
     total = 1.0 + float(adds.sum())
-    if adds[-1] > tail * total:
-        raise ArithmeticError(f"Gram series tail bound {tail} not reached for x={x}")
+    if adds[-1] > GRAM_TAIL * total:
+        raise ArithmeticError(f"Gram series tail bound {GRAM_TAIL} not reached for x={x}")
     return total
 
 
@@ -320,15 +298,6 @@ def r_complex_folded(x: float, sigmas: np.ndarray) -> np.ndarray:
     return 2.0 * total.real
 
 
-@dataclass(frozen=True)
-class RiemannApprox:
-    x: float
-    T: int
-    R_value: float
-    eta_T: float
-    pi_estimate: float
-
-
 def pi_approx(x: float, zeros: ZetaZerosTable, T: int) -> float:
     """pi(x) ~ R(x) - sum_{k<=T} R(x^{rho_k}), conjugate pairs folded."""
     if x < 2.0:
@@ -340,13 +309,6 @@ def pi_approx(x: float, zeros: ZetaZerosTable, T: int) -> float:
         return r
     corr = r_complex_folded(x, np.array(zeros.heights[:T]))
     return r - float(np.sum(corr))
-
-
-def pi_approx_detail(x: float, zeros: ZetaZerosTable, T: int) -> RiemannApprox:
-    r = riemann_R(x)
-    est = pi_approx(x, zeros, T)
-    eta = (est - r) / r
-    return RiemannApprox(x=x, T=T, R_value=r, eta_T=eta, pi_estimate=est)
 
 
 def inversion_objective(N: float, j: int, zeros: ZetaZerosTable,
@@ -397,9 +359,7 @@ def invert_x_of_E(
     zeros: ZetaZerosTable,
     T: int,
     bracket: tuple[float, float] | None = None,
-    rel_tol: float = 1e-6,
     near: float | None = None,
-    window: float = 0.005,
     objective: Callable[[float], float] | None = None,
 ) -> float:
     """Solve E = pi~(x) pi~(N/x) / j^2 for x by bracketed bisection.
@@ -410,7 +370,9 @@ def invert_x_of_E(
     and why, at desk scale, the equation can have several roots spread
     over a few percent of x. The global bracket returns one of them
     deterministically (the probabilistic sieve reading); passing `near`
-    restricts the search to near*(1 +- window) to certify a known root.
+    restricts the search to near*(1 +- 0.005), narrowed by thirds until a
+    sign change shows, to certify a known root. Bisection stops at a
+    relative width of INVERT_REL_TOL.
     Raises BracketError when the endpoints do not straddle the target.
     `objective`, if given, must equal `inversion_objective(N, j, zeros, T)`
     (a memoized copy, say); it replaces the one built here.
@@ -429,12 +391,12 @@ def invert_x_of_E(
                 f"E = {E} not bracketed on [{lo:.6g}, {hi:.6g}] "
                 f"(f = {f_lo:.3g}, {f_hi:.3g})"
             )
-        return bisect_root(f, lo, hi, f_lo, rtol=rel_tol)
+        return bisect_root(f, lo, hi, f_lo, rtol=INVERT_REL_TOL)
     # the eta oscillations can put a second crossing inside the window
     # (the endpoints then share a sign), so scan for every sign change and
     # keep the root closest to `near`; a grid sample that hits the root
     # exactly brackets it in both cells beside it
-    w = window
+    w = _NEAR_WINDOW
     for _ in range(6):
         grid = np.linspace(near * (1.0 - w), min(near * (1.0 + w), sqrt_n), 17)
         vals = [f(float(x)) for x in grid]
@@ -444,13 +406,13 @@ def invert_x_of_E(
         w /= 3.0
     else:
         raise BracketError(f"no sign change around {near:.6g} down to +-{w:.2g}")
-    roots = [bisect_root(f, float(grid[i]), float(grid[i + 1]), vals[i], rtol=rel_tol)
+    roots = [bisect_root(f, float(grid[i]), float(grid[i + 1]), vals[i], rtol=INVERT_REL_TOL)
              for i in cells]
     return min(roots, key=lambda r: abs(r - near))
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo spectrum and KDE averaging
+# Monte-Carlo spectrum
 
 
 @dataclass(frozen=True)
@@ -543,45 +505,6 @@ def montecarlo_spectrum(
                             gauge_rejections=gauge_rejections,
                             bracket_misses=bracket_misses,
                             memo_hits=objective.hits, memo_misses=objective.misses)
-
-
-@dataclass(frozen=True)
-class KDEEstimate:
-    k: int
-    weights: tuple
-    mean: float
-    width2: float
-    bandwidth: float
-
-
-def silverman_bandwidth(values: np.ndarray) -> float:
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    if n < 2:
-        return 1.0
-    sd = float(np.std(v, ddof=1))
-    q75, q25 = np.percentile(v, [75, 25])
-    iqr = (q75 - q25) / 1.34
-    spread = min(sd, iqr) if iqr > 0 else sd
-    if spread == 0.0:
-        return 1.0
-    return 0.9 * spread * n ** (-0.2)
-
-
-def kde_average(samples_by_level: dict, bandwidth: float | None = None) -> list[KDEEstimate]:
-    """Equal-weight level means <E_k> and widths sigma_k^2 per level."""
-    out = []
-    for k in sorted(samples_by_level):
-        vals = np.asarray(samples_by_level[k], dtype=float)
-        if vals.size < 1:
-            raise ValueError(f"level {k} has no samples")
-        w = 1.0 / vals.size
-        mean = float(np.sum(vals) * w)
-        width2 = float(np.sum(vals * vals) * w - mean * mean)
-        bw = bandwidth if bandwidth is not None else silverman_bandwidth(vals)
-        out.append(KDEEstimate(k=k, weights=tuple([w] * vals.size),
-                               mean=mean, width2=max(width2, 0.0), bandwidth=bw))
-    return out
 
 
 # ---------------------------------------------------------------------------

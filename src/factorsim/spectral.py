@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .roots import grid_roots
 from .special import kummer_F, kummer_U
@@ -31,8 +31,20 @@ ARG_GAMMA_ALPHA1 = 0.2584325484596134
 # limit is 2*PHI0 - 2*ARG_GAMMA_ALPHA1 - 3*pi/4 ~ 5.6494.
 CHI_REF = 5.4430
 
-_RESIDUAL_TOL = 1e-8
+# |S(E, q_m) - 1| at which the Newton solve counts as converged
+RESIDUAL_TOL = 1e-8
 _DEGENERATE_TOL = 1e-250
+_NEWTON_MAX_ITER = 50
+_FD_STEP = 1e-6  # central-difference step of dS/dE
+
+# q^2 spacing of every zero scan (see `q_grid`) and the bracket width at
+# which bisection of a zero stops
+_Q2_STEP = math.pi / 8
+ZERO_XTOL = 1e-12
+# half-width of the `nearest_zero` scan, in periods 2*pi of q^2
+_NEAR_ZERO_PERIODS = 3
+# samples of |1/S| per period 2*pi of rho in `extract_phi0`
+_PHI0_SAMPLES_PER_PERIOD = 40
 
 
 class SolverError(ArithmeticError):
@@ -47,7 +59,6 @@ class SpectralSolution:
     residual: float
     converged: bool
     iterations: int
-    zeros: list = field(default_factory=list)
 
 
 def alpha_of(E: float) -> complex:
@@ -62,9 +73,17 @@ def _inner_pair(E: float) -> tuple[complex, complex]:
 
 def solve_d(E: float) -> complex:
     """d(E) = -F(a,3/2,iE)/U(a,3/2,iE), making Psi(sqrt(E)) = 0."""
+    if E <= 0:  # before U(a,3/2,iE) is evaluated at z = 0
+        raise ValueError("E must be positive")
+    return _d_of(E, _inner_pair(E))
+
+
+def _d_of(E: float, inner: tuple[complex, complex]) -> complex:
+    """d(E) from `inner` = `_inner_pair(E)`; also rejects the E <= 0 that
+    `solve_energy` can end on after a non-positive guess."""
     if E <= 0:
         raise ValueError("E must be positive")
-    f, u = _inner_pair(E)
+    f, u = inner
     if abs(u) < _DEGENERATE_TOL:
         raise SolverError(f"degenerate matching point: U(a,3/2,iE) ~ 0 at E={E}")
     return -f / u
@@ -82,13 +101,13 @@ def wavefunction(q: float, E: float, d: complex) -> complex:
     return q * cmath.exp(-0.5j * q * q) * bracket
 
 
-def q_grid(u_lo: float, u_hi: float, step2: float) -> list[float]:
-    """q samples uniform in q^2 over [u_lo, u_hi], at most `step2` apart in q^2.
+def q_grid(u_lo: float, u_hi: float) -> list[float]:
+    """q samples uniform in q^2 over [u_lo, u_hi], at most _Q2_STEP apart in q^2.
 
-    Zeros of both wavefunctions are ~2*pi apart in q^2, so a step2 below
+    Zeros of both wavefunctions are ~2*pi apart in q^2, so a step below
     pi puts a sign change between every pair of neighbouring zeros.
     """
-    n = max(int((u_hi - u_lo) / step2) + 2, 8)
+    n = max(int((u_hi - u_lo) / _Q2_STEP) + 2, 8)
     return [math.sqrt(u_lo + (u_hi - u_lo) * i / (n - 1)) for i in range(n)]
 
 
@@ -110,26 +129,23 @@ def _zeros_on_grid(E: float, qs: list[float]) -> list[float]:
     def proj(q: float) -> float:
         return (wavefunction(q, E, d) / phase).real
 
-    return grid_roots(proj, qs, [(v / phase).real for v in vals], 1e-12)
+    return grid_roots(proj, qs, [(v / phase).real for v in vals], ZERO_XTOL)
 
 
-def wavefunction_zeros(E: float, q_max: float, step2: float = math.pi / 8) -> list[float]:
-    """All zeros of Psi in (sqrt(E), q_max], by sign change + bisection.
-
-    `step2` is the q^2 spacing of the scan (see `q_grid`).
-    """
+def wavefunction_zeros(E: float, q_max: float) -> list[float]:
+    """All zeros of Psi in (sqrt(E), q_max], by sign change + bisection."""
     q0 = math.sqrt(E)
     if q_max <= q0:
         return []
-    zeros = _zeros_on_grid(E, q_grid(E + 1e-6, q_max * q_max, step2))
+    zeros = _zeros_on_grid(E, q_grid(E + 1e-6, q_max * q_max))
     return [z for z in zeros if z > q0 and z <= q_max]
 
 
-def nearest_zero(E: float, q_center: float, span_periods: int = 3) -> float:
+def nearest_zero(E: float, q_center: float) -> float:
     """The zero of Psi(.; E) closest to q_center (local scan in q^2)."""
-    half = span_periods * 2.0 * math.pi
+    half = _NEAR_ZERO_PERIODS * 2.0 * math.pi
     u_c = q_center * q_center
-    qs = q_grid(max(E + 1e-6, u_c - half), u_c + half, math.pi / 8.0)
+    qs = q_grid(max(E + 1e-6, u_c - half), u_c + half)
     zeros = _zeros_on_grid(E, qs)
     if not zeros:
         raise SolverError(f"no wavefunction zero near q = {q_center}")
@@ -157,37 +173,33 @@ def _ratio_s(E: float, q_m: float, inner: tuple[complex, complex] | None = None)
     return num / den
 
 
-def solve_energy(
-    q_m: float,
-    guess: float,
-    max_iter: int = 50,
-    tol: float = _RESIDUAL_TOL,
-    fd_step: float = 1e-6,
-    with_zeros: bool = False,
-) -> SpectralSolution:
+def solve_energy(q_m: float, guess: float) -> SpectralSolution:
     """Newton-Raphson on S(E, q_m) - 1 with a numerically differenced S'.
 
     Eigenvalues are real, so the complex Newton step is projected onto
     the real axis and clamped to a fraction of the root spacing
-    2*pi/log(q_m) to keep iterates inside one basin.
+    2*pi/log(q_m) to keep iterates inside one basin. The solve stops at
+    |S - 1| <= RESIDUAL_TOL or after 50 iterates, and returns the iterate
+    with the smallest residual; its d comes from the inner pair that its
+    residual used.
     """
     if q_m <= 1.0:
         raise ValueError("q_m must exceed 1")
     clamp = 0.45 * 2.0 * math.pi / math.log(q_m)
     E = float(guess)
-    best = (math.inf, E, 0)
-    for it in range(1, max_iter + 1):
-        r = quantization_residual(E, q_m)
+    best = (math.inf, E, 0, None)
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        inner = _inner_pair(E)
+        r = _ratio_s(E, q_m, inner) - 1.0
         if abs(r) < best[0]:
-            best = (abs(r), E, it)
-        if abs(r) <= tol:
-            d = solve_d(E)
-            zs = wavefunction_zeros(E, q_m) if with_zeros else []
-            return SpectralSolution(E=E, d=d, q_m=q_m, residual=abs(r),
-                                    converged=True, iterations=it, zeros=zs)
-        rp = quantization_residual(E + fd_step, q_m)
-        rm = quantization_residual(E - fd_step, q_m)
-        deriv = (rp - rm) / (2.0 * fd_step)
+            best = (abs(r), E, it, inner)
+        # every earlier iterate had a residual above the tolerance, so a
+        # converged iterate is always the best one
+        if abs(r) <= RESIDUAL_TOL:
+            break
+        rp = quantization_residual(E + _FD_STEP, q_m)
+        rm = quantization_residual(E - _FD_STEP, q_m)
+        deriv = (rp - rm) / (2.0 * _FD_STEP)
         if deriv == 0:
             break
         step = (r / deriv).real
@@ -197,10 +209,11 @@ def solve_energy(
         if E_new <= 0.0:
             E_new = 0.5 * E
         E = E_new
-    res, E_best, it = best
-    zs = wavefunction_zeros(E_best, q_m) if with_zeros and res <= tol else []
-    return SpectralSolution(E=E_best, d=solve_d(E_best), q_m=q_m, residual=res,
-                            converged=res <= tol, iterations=it, zeros=zs)
+    res, E_best, it, inner = best
+    if inner is None:  # no residual was below infinity (a NaN guess, say)
+        inner = _inner_pair(E_best)
+    return SpectralSolution(E=E_best, d=_d_of(E_best, inner), q_m=q_m, residual=res,
+                            converged=res <= RESIDUAL_TOL, iterations=it)
 
 
 def epsilon_asymptotic(q_m: float, chi: float = 0.0) -> float:
@@ -227,8 +240,7 @@ def _envelope_ratio(rho: float, inner: tuple[complex, complex] | None = None) ->
     return 1.0 / m
 
 
-def extract_phi0(rho_lo: float = 150.0, rho_hi: float = 1500.0,
-                 samples_per_period: int = 40) -> float:
+def extract_phi0(rho_lo: float = 150.0, rho_hi: float = 1500.0) -> float:
     """Recover phi0 from the envelope minima of the reciprocal ratio.
 
     The reciprocal ratio has |R| = cos(phi0)*|sec(phi(rho))|: its local
@@ -237,7 +249,7 @@ def extract_phi0(rho_lo: float = 150.0, rho_hi: float = 1500.0,
     """
     if rho_hi <= rho_lo + 4.0 * math.pi:
         raise ValueError("window must span at least two envelope periods")
-    step = 2.0 * math.pi / samples_per_period
+    step = 2.0 * math.pi / _PHI0_SAMPLES_PER_PERIOD
     n = int((rho_hi - rho_lo) / step) + 1
     grid = [rho_lo + i * step for i in range(n)]
     inner = _inner_pair(1.0)

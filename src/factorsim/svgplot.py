@@ -6,8 +6,6 @@ stable iteration order, no timestamps or generated ids.
 
 from __future__ import annotations
 
-import math
-
 _W, _H = 640.0, 480.0
 _ML, _MR, _MT, _MB = 60.0, 20.0, 20.0, 45.0
 
@@ -45,10 +43,9 @@ def _scale(lo: float, hi: float, px_lo: float, px_hi: float):
     return f
 
 
-def scatter_svg(points, x_label: str = "x", y_label: str = "y",
-                log_y: bool = False) -> bytes:
+def scatter_svg(points, x_label: str = "x", y_label: str = "y") -> bytes:
     """Scatter plot; points is an iterable of (x, y)."""
-    pts = [(float(x), math.log10(y) if log_y else float(y)) for x, y in points]
+    pts = [(float(x), float(y)) for x, y in points]
     body = _axes(x_label, y_label)
     if pts:
         xs = [p[0] for p in pts]

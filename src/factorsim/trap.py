@@ -28,6 +28,10 @@ FLUX_QUANTUM = PLANCK_H / (2.0 * E_CHARGE)  # Wb (h/2e)
 
 SQRT2 = math.sqrt(2.0)
 
+# least ratio omega_c/omega_z and omega_z/omega_m a plan accepts
+_HIERARCHY_MIN = 10.0
+_B_MAX = 10.0  # tesla, the strongest field a plan may ask for
+
 
 @dataclass(frozen=True)
 class Particle:
@@ -56,38 +60,27 @@ class TrapParameters:
     omega_z: float  # rad/s, axial
     omega_m: float  # rad/s, magnetron
     rho_m: float  # m, saddle-region radius
-    rho_0: float | None = None  # m, ring electrode radius
-    L: int = 0  # 0 s-wave, 1 p-wave
-    hierarchy_min: float = 10.0
-
-    @property
-    def m_single(self) -> float:
-        return self.particle.mass
 
     @property
     def M_pair(self) -> float:
         return 2.0 * self.particle.mass
 
     def validate(self) -> None:
-        if self.omega_c < self.hierarchy_min * self.omega_z:
+        if self.omega_c < _HIERARCHY_MIN * self.omega_z:
             raise TrapPlanError(
                 f"omega_c/omega_z = {self.omega_c / self.omega_z:.3g} < "
-                f"{self.hierarchy_min}"
+                f"{_HIERARCHY_MIN}"
             )
-        if self.omega_z < self.hierarchy_min * self.omega_m:
+        if self.omega_z < _HIERARCHY_MIN * self.omega_m:
             raise TrapPlanError(
                 f"omega_z/omega_m = {self.omega_z / self.omega_m:.3g} < "
-                f"{self.hierarchy_min}"
+                f"{_HIERARCHY_MIN}"
             )
         if self.omega_c < SQRT2 * self.omega_z:
             raise TrapPlanError("stability bound omega_c >= sqrt(2) omega_z violated")
         om_pred = self.omega_z**2 / (2.0 * self.omega_c_prime)
         if abs(self.omega_m - om_pred) > 0.01 * om_pred:
             raise TrapPlanError("omega_m inconsistent with omega_z^2/(2 omega_c')")
-        if self.rho_0 is not None and self.rho_0 < self.rho_m:
-            raise TrapPlanError("ring electrode smaller than saddle region")
-        if self.L not in (0, 1):
-            raise TrapPlanError("L must be 0 (s-wave) or 1 (p-wave)")
 
 
 def length_scale(params: TrapParameters) -> float:
@@ -243,7 +236,7 @@ def trap_wavefunction(rho: float, e_prime: float, params: TrapParameters,
 
 
 def trap_wavefunction_zeros(E: float, q_lo: float, q_hi: float,
-                            params: TrapParameters, step2: float = math.pi / 8) -> list[float]:
+                            params: TrapParameters) -> list[float]:
     """Zeros of the trap psi in dimensionless q over [q_lo, q_hi]."""
     _, e_prime = to_physical(0.0, E, params)
     c = trap_boundary_constant(e_prime, params)
@@ -252,8 +245,8 @@ def trap_wavefunction_zeros(E: float, q_lo: float, q_hi: float,
     def f(q: float) -> float:
         return (cmath.exp(0.5j * q * q) * _trap_bracket(beta, q * q, c)).real
 
-    qs = spectral.q_grid(q_lo * q_lo, q_hi * q_hi, step2)
-    return grid_roots(f, qs, [f(q) for q in qs], 1e-12)
+    qs = spectral.q_grid(q_lo * q_lo, q_hi * q_hi)
+    return grid_roots(f, qs, [f(q) for q in qs], spectral.ZERO_XTOL)
 
 
 @dataclass(frozen=True)
@@ -288,7 +281,6 @@ def zero_match_report(E: float, q_lo: float, q_hi: float,
 
 @dataclass
 class TrapPlan:
-    gauge: GaugeConfig | None
     params: TrapParameters
     N_target: float
     N_encodable: float
@@ -309,16 +301,14 @@ def plan_trap(
     rho_m: float,
     particle: str | Particle = "electron",
     zero_index: int = 0,
-    gauge: GaugeConfig | None = None,
-    B_max: float = 10.0,
-    hierarchy_min: float = 10.0,
 ) -> TrapPlan:
     """Size a trap that encodes N with q_G set to a wavefunction zero.
 
     q_G is the (zero_index+1)-th zero of the exact E = 1 wavefunction;
     the saddle-radius sizing relation fixes omega_z from rho_m, and the shifted cyclotron is
-    fine-tuned so the encodable-N relation reproduces N. Hierarchy or
-    field violations reject the plan, naming the failing quantity.
+    fine-tuned so the encodable-N relation reproduces N. A hierarchy ratio
+    below 10 or a field above 10 T rejects the plan, naming the failing
+    quantity.
     """
     if isinstance(particle, str):
         if particle not in PARTICLES:
@@ -336,15 +326,14 @@ def plan_trap(
     omega_m = omega_z**2 / (2.0 * omega_c_prime)
     omega_c = math.sqrt(omega_c_prime**2 + omega_z**2 + omega_m**2)
     B = particle.mass * omega_c / (particle.g * particle.s_hat * E_CHARGE)
-    if B > B_max:
+    if B > _B_MAX:
         raise TrapPlanError(
-            f"required field B = {B:.3g} T exceeds B_max = {B_max} T "
+            f"required field B = {B:.3g} T exceeds B_max = {_B_MAX} T "
             f"(flux quanta would be {flux_quanta(rho_m, B):.3g})"
         )
     params = TrapParameters(
         particle=particle, B=B, omega_c=omega_c, omega_c_prime=omega_c_prime,
-        omega_z=omega_z, omega_m=omega_m, rho_m=rho_m, rho_0=rho_m,
-        hierarchy_min=hierarchy_min,
+        omega_z=omega_z, omega_m=omega_m, rho_m=rho_m,
     )
     params.validate()
 
@@ -353,7 +342,6 @@ def plan_trap(
     spacing_trap = SQRT2 * omega_z / omega_c_prime
     enc = encodable_N(q_G, ratio, rho_m, particle)
     return TrapPlan(
-        gauge=gauge,
         params=params,
         N_target=float(N),
         N_encodable=enc["N"],

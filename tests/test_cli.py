@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from factorsim import qsieve, spectral
 from factorsim.cli import run
 
 
@@ -46,7 +47,12 @@ def test_ensemble_csv_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "ensemble enumerate"
     assert manifest["inputs"]["j"] == 3
     assert manifest["versions"]["factorsim"]
-    assert "tolerances" in manifest
+    assert manifest["tolerances"] == {
+        "quantization_residual": spectral.RESIDUAL_TOL,
+        "bisection_rel_tol": qsieve.INVERT_REL_TOL,
+        "gram_tail": qsieve.GRAM_TAIL,
+        "zero_bisection": spectral.ZERO_XTOL,
+    }
 
 
 def test_fig1_deterministic_bytes(tmp_path, capsys):

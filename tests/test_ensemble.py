@@ -47,12 +47,6 @@ def reference_ensemble(query: EnsembleQuery, engine) -> list:
                     x=x, y=y, N=x * y, j=j, pix=pix, piy=piy,
                     E=Fraction(pix * piy, j * j),
                     q=Fraction(pix + piy, 2 * j), p=Fraction(piy - pix, 2 * j)))
-    if query.N_center is not None:
-        h = query.sqrt_halfwidth
-        if h is None:
-            h = math.log(math.sqrt(query.N_center))
-        c = math.sqrt(query.N_center)
-        out = [e for e in out if abs(math.sqrt(e.N) - c) < h]
     return sorted(out, key=lambda e: (e.N, e.x))
 
 
@@ -107,16 +101,12 @@ def test_enumerate_matches_brute_force(j, engine):
 @pytest.mark.parametrize("j", [1, 2, 3, 12, 50])
 def test_enumerate_matches_is_prime_reference(j, engine):
     pj = engine.nth_prime(j)
-    n_lo, n_hi = ensemble_bounds(j, engine)
-    mid = (n_lo + n_hi) // 2
     queries = [
         EnsembleQuery(j=j),
         EnsembleQuery(j=j, x_min=3),
         EnsembleQuery(j=j, x_max=pj // 2),
         EnsembleQuery(j=j, x_min=pj // 3, x_max=pj - 1),
         EnsembleQuery(j=j, x_min=pj + 1),
-        EnsembleQuery(j=j, N_center=mid),
-        EnsembleQuery(j=j, x_min=2, x_max=pj, N_center=mid, sqrt_halfwidth=0.3),
     ]
     for query in queries:
         got = enumerate_ensemble(query, engine)
@@ -151,17 +141,6 @@ def test_spectrum_points(engine):
 
 def test_spectrum_points_empty_window(engine):
     assert spectrum_points(EnsembleQuery(j=3, x_min=6, x_max=5), engine) == []
-
-
-def test_sqrt_vicinity_window(engine):
-    # |sqrt(N_k) - sqrt(34)| < 0.4 keeps N in (sqrt(34)-0.4, sqrt(34)+0.4)^2
-    entries = enumerate_ensemble(
-        EnsembleQuery(j=3, N_center=34, sqrt_halfwidth=0.4), engine
-    )
-    assert [e.N for e in entries] == [33, 34, 35, 38]
-    # default halfwidth log sqrt(N) covers the whole j = 3 class here
-    wide = enumerate_ensemble(EnsembleQuery(j=3, N_center=34), engine)
-    assert len(wide) == 8
 
 
 def test_fig1_marked_point(engine):

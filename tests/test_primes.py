@@ -154,7 +154,7 @@ def test_nth_prime_across_pages():
 
 
 def test_primes_between(engine):
-    got = list(engine.primes_between(90, 120))
+    got = list(engine.table.primes_between(90, 120))
     assert got == [97, 101, 103, 107, 109, 113]
 
 

@@ -19,11 +19,9 @@ from factorsim.qsieve import (
     energy_levels,
     exact_energy_levels,
     invert_x_of_E,
-    kde_average,
     make_gauge,
     measurements_budget,
     montecarlo_spectrum,
-    phase_step_identity,
     pi_approx,
     qm_of_k,
     riemann_R,
@@ -75,10 +73,12 @@ def test_qm_of_k(engine):
 
 
 def test_phase_step_identity(engine):
+    """q_m(k)^2 - q_G^2 matches the phase step 2 pi k / k_m to within lambda."""
     for G in [0.0, 0.3]:
         g = make_gauge(N_FIG1, G, engine)
         for k in range(1, int(g.k_m) + 1):
-            got, want = phase_step_identity(g, k)
+            qm = qm_of_k(g, k)
+            got, want = qm * qm - g.q_G**2, 2.0 * math.pi * k / g.k_m
             assert abs(got - want) / want <= g.lam
 
 
@@ -162,21 +162,12 @@ def test_pi_approx_guards(zeros):
         pi_approx(100.0, zeros, zeros.count + 1)
 
 
-def test_pi_approx_detail(zeros):
-    from factorsim.qsieve import pi_approx_detail
-
-    d0 = pi_approx_detail(5000.5, zeros, 0)
-    assert d0.pi_estimate == d0.R_value and d0.eta_T == 0.0
-    d1 = pi_approx_detail(5000.5, zeros, 100)
-    assert d1.pi_estimate == pytest.approx(d1.R_value * (1.0 + d1.eta_T))
-
-
 def test_invert_symmetric_closed_loop(zeros):
     """N = p^2: the E computed at x = p inverts back to p."""
     p = 104729.0
     N = p * p
     E = pi_approx(p, zeros, 0) * pi_approx(N / p, zeros, 0) / 10000**2
-    x = invert_x_of_E(E, N, 10000, zeros, 0, near=p, window=0.02)
+    x = invert_x_of_E(E, N, 10000, zeros, 0, near=p)
     assert abs(x - p) / p <= 1e-6
 
 
@@ -269,17 +260,6 @@ def test_density_map_classical_matches_exact_rationals(engine):
                              bins=[dm.e_edges, dm.x_edges])
     assert dm.points == len(entries)
     assert np.array_equal(dm.mass, h / h.sum())
-
-
-def test_kde_average_examples():
-    out = kde_average({0: [1.07]})
-    assert out[0].mean == 1.07 and out[0].width2 == 0.0
-    out = kde_average({1: [1.0, 1.1]})
-    assert out[0].mean == pytest.approx(1.05)
-    assert out[0].width2 == pytest.approx(0.0025)
-    for est in kde_average({0: [1.0, 1.2, 1.4], 1: [2.0] * 5}):
-        assert sum(est.weights) == pytest.approx(1.0, abs=1e-12)
-        assert est.width2 >= 0.0
 
 
 def test_density_map_classical_j3(engine):

@@ -82,7 +82,7 @@ def test_grid_roots_equals_old_q_scan_on_q_grid(phase):
     def f(q):
         return math.cos(0.5 * q * q + phase) / q
 
-    qs = q_grid(1.0, 144.0, math.pi / 8)
+    qs = q_grid(1.0, 144.0)
     ref, new, rec_ref, rec_new = _q_scan_both(f, qs)
     assert len(new) >= 20
     assert new == ref
@@ -114,7 +114,7 @@ def test_grid_roots_large_q_where_doubles_run_out():
     def f(q):
         return q - root
 
-    qs = q_grid(9999.0 ** 2, 10001.0 ** 2, math.pi / 8)
+    qs = q_grid(9999.0 ** 2, 10001.0 ** 2)
     ref, new, _, _ = _q_scan_both(f, qs)
     assert new == ref and len(new) == 1 and abs(new[0] - root) < 1e-11
 

@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import pytest
 
+from factorsim import spectral
 from factorsim.special import kummer_F, kummer_U
 from factorsim.spectral import (
     CHI_REF,
@@ -117,10 +118,19 @@ def test_solve_energy_adjacent_root():
     assert abs((second.E - first.E) - period) < 0.25 * period
 
 
-def test_solve_energy_derivative_step_invariance():
-    a = solve_energy(20.0, 1.0, fd_step=1e-6)
-    b = solve_energy(20.0, 1.0, fd_step=1e-7)
+def test_solve_energy_derivative_step_invariance(monkeypatch):
+    a = solve_energy(20.0, 1.0)
+    monkeypatch.setattr(spectral, "_FD_STEP", 1e-7)
+    b = solve_energy(20.0, 1.0)
     assert abs(a.E - b.E) <= 1e-8
+
+
+@pytest.mark.parametrize("qm", [5.0, 20.0, 46.6])
+def test_solve_energy_d_equals_solve_d(qm):
+    """d read off the last residual's inner pair is solve_d's d, bit for bit."""
+    sol = solve_energy(qm, 1.0)
+    assert sol.converged
+    assert sol.d == solve_d(sol.E)
 
 
 def test_residual_sweep_period():

@@ -89,7 +89,7 @@ def test_frequency_condition_unphysical():
 
     from factorsim.qsieve import GaugeConfig
 
-    g = GaugeConfig(N=1e12, j=0, G=0.0, nu=0.375, B_G=101, q_G=math.e,
+    g = GaugeConfig(N=1e12, j=0, G=0.0, B_G=101, q_G=math.e,
                     chi=0.0, lam=0.01, k_m=math.pi * SQRT2)
     with pytest.raises(TrapPlanError):
         frequency_condition(g)
