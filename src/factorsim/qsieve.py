@@ -19,7 +19,7 @@ import numpy as np
 from . import spectral
 from .ensemble import ensemble_arrays
 from .primes import PrimeEngine
-from .roots import bisect_root
+from .roots import grid_roots
 
 E_MAX_DEFAULT = 9.0 / 8.0
 _FIRST_ZERO = 14.134725
@@ -358,7 +358,6 @@ def invert_x_of_E(
     j: int,
     zeros: ZetaZerosTable,
     T: int,
-    bracket: tuple[float, float] | None = None,
     near: float | None = None,
     objective: Callable[[float], float] | None = None,
 ) -> float:
@@ -370,10 +369,11 @@ def invert_x_of_E(
     and why, at desk scale, the equation can have several roots spread
     over a few percent of x. The global bracket returns one of them
     deterministically (the probabilistic sieve reading); passing `near`
-    restricts the search to near*(1 +- 0.005), narrowed by thirds until a
-    sign change shows, to certify a known root. Bisection stops at a
-    relative width of INVERT_REL_TOL.
-    Raises BracketError when the endpoints do not straddle the target.
+    scans 17 points of near*(1 +- 0.005), narrowed by thirds until a root
+    shows, and returns the root closest to `near`, to certify a known root.
+    Both go through `roots.grid_roots`: a sample where the objective is
+    exactly E is a root, and a sign change is bisected to a relative width
+    of INVERT_REL_TOL. Raises BracketError when no root shows.
     `objective`, if given, must equal `inversion_objective(N, j, zeros, T)`
     (a memoized copy, say); it replaces the one built here.
     """
@@ -383,32 +383,22 @@ def invert_x_of_E(
     def f(x: float) -> float:
         return g(x) - E
 
-    if near is None:
-        lo, hi = bracket if bracket is not None else (max(N ** 0.25, 2.01), sqrt_n)
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo * f_hi > 0.0:
-            raise BracketError(
-                f"E = {E} not bracketed on [{lo:.6g}, {hi:.6g}] "
-                f"(f = {f_lo:.3g}, {f_hi:.3g})"
-            )
-        return bisect_root(f, lo, hi, f_lo, rtol=INVERT_REL_TOL)
-    # the eta oscillations can put a second crossing inside the window
-    # (the endpoints then share a sign), so scan for every sign change and
-    # keep the root closest to `near`; a grid sample that hits the root
-    # exactly brackets it in both cells beside it
     w = _NEAR_WINDOW
-    for _ in range(6):
-        grid = np.linspace(near * (1.0 - w), min(near * (1.0 + w), sqrt_n), 17)
-        vals = [f(float(x)) for x in grid]
-        cells = [i for i in range(len(grid) - 1) if vals[i] * vals[i + 1] <= 0.0]
-        if cells:
-            break
+    for _ in range(1 if near is None else 6):
+        if near is None:
+            xs = [max(N ** 0.25, 2.01), sqrt_n]
+        else:
+            xs = np.linspace(near * (1.0 - w), min(near * (1.0 + w), sqrt_n), 17).tolist()
+        fs = [f(x) for x in xs]
+        roots = grid_roots(f, xs, fs, rtol=INVERT_REL_TOL)
+        if roots:
+            # the eta oscillations can put a second root inside the window
+            return roots[0] if near is None else min(roots, key=lambda r: abs(r - near))
         w /= 3.0
-    else:
-        raise BracketError(f"no sign change around {near:.6g} down to +-{w:.2g}")
-    roots = [bisect_root(f, float(grid[i]), float(grid[i + 1]), vals[i], rtol=INVERT_REL_TOL)
-             for i in cells]
-    return min(roots, key=lambda r: abs(r - near))
+    if near is None:
+        raise BracketError(f"E = {E} not bracketed on [{xs[0]:.6g}, {xs[1]:.6g}] "
+                           f"(f = {fs[0]:.3g}, {fs[1]:.3g})")
+    raise BracketError(f"no sign change around {near:.6g} down to +-{w:.2g}")
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +468,6 @@ def montecarlo_spectrum(
     out = []
     gauge_rejections = bracket_misses = 0
     objective = MemoObjective(inversion_objective(float(N), j, zeros, mc.T))
-    x_lo_global = max(N ** 0.25, 2.01)
     for i in range(first_draw, budget):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=mc.rng_seed, spawn_key=(i,)))
         xi = float(rng.uniform(-1.0, 1.0))
@@ -494,9 +483,7 @@ def montecarlo_spectrum(
                 if E <= 1.0:
                     E = 1.0 + 1e-12
                 try:
-                    x = invert_x_of_E(E, float(N), j, zeros, mc.T,
-                                      bracket=(x_lo_global, sqrt_n),
-                                      objective=objective)
+                    x = invert_x_of_E(E, float(N), j, zeros, mc.T, objective=objective)
                 except BracketError:
                     bracket_misses += 1
                     continue

@@ -33,16 +33,17 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
 
 
 def grid_roots(f: Callable[[float], float], xs: Sequence[float],
-               fs: Sequence[float], xtol: float) -> list[float]:
+               fs: Sequence[float], xtol: float = 0.0, rtol: float = 0.0) -> list[float]:
     """Roots of f on the ascending samples xs, where fs[i] = f(xs[i]).
 
-    A sample where f is exactly 0.0 is a root; each strict sign change
-    between neighbours is bisected down to `xtol`.
+    A sample where f is exactly 0.0 is a root, returned as is; each strict
+    sign change between neighbours is bisected until its width falls below
+    xtol + rtol*mid (see `bisect_root`).
     """
     out = []
     for i in range(len(xs)):
         if fs[i] == 0.0:
             out.append(xs[i])
         elif i + 1 < len(xs) and fs[i] * fs[i + 1] < 0.0:
-            out.append(bisect_root(f, xs[i], xs[i + 1], fs[i], xtol=xtol))
+            out.append(bisect_root(f, xs[i], xs[i + 1], fs[i], xtol=xtol, rtol=rtol))
     return out

@@ -216,7 +216,7 @@ def solve_energy(q_m: float, guess: float) -> SpectralSolution:
                             converged=res <= RESIDUAL_TOL, iterations=it)
 
 
-def epsilon_asymptotic(q_m: float, chi: float = 0.0) -> float:
+def epsilon_asymptotic(q_m: float, chi: float) -> float:
     """First-order eigenvalue shift: E ~ 1 + epsilon(q_m).
 
     epsilon = {tan(phi0) + sin(phi_m) sec(phi0)} / log(q_m) with

@@ -32,9 +32,9 @@ def ref_q_grid_scan(f, xs, fs):
 
 
 def ref_near_scan(f, xs, fs, rel_tol):
-    """The near= branch of invert_x_of_E before `roots` existed: every cell
-    with fs[i]*fs[i+1] <= 0 is bisected, the relative width is tested
-    before each evaluation, at most 200 halvings."""
+    """The near= branch of invert_x_of_E before it went through `grid_roots`:
+    every cell with fs[i]*fs[i+1] <= 0 is bisected, the relative width is
+    tested before each evaluation, at most 200 halvings."""
     out = []
     for i in range(len(xs) - 1):
         if fs[i] * fs[i + 1] > 0.0:
@@ -51,11 +51,6 @@ def ref_near_scan(f, xs, fs, rel_tol):
                 lo, fl = mid, fm
         out.append(0.5 * (lo + hi))
     return out
-
-
-def new_near_scan(f, xs, fs, rel_tol):
-    return [bisect_root(f, xs[i], xs[i + 1], fs[i], rtol=rel_tol)
-            for i in range(len(xs) - 1) if fs[i] * fs[i + 1] <= 0.0]
 
 
 class Recorded:
@@ -121,21 +116,25 @@ def test_grid_roots_large_q_where_doubles_run_out():
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-13])
 def test_bisect_root_equals_old_near_scan(rel_tol):
+    # with no sample exactly on a root, grid_roots(rtol=) bisects the same
+    # cells as the old <= rule, through the same midpoints
     def f(x):
         return math.sin(x) + 0.3 * math.sin(3.1 * x)
 
     xs = [float(x) for x in np.linspace(2.0, 40.0, 17)]
     fs = [f(x) for x in xs]
+    assert 0.0 not in fs
     rec_ref, rec_new = Recorded(f), Recorded(f)
     ref = ref_near_scan(rec_ref, xs, fs, rel_tol)
-    new = new_near_scan(rec_new, xs, fs, rel_tol)
+    new = grid_roots(rec_new, xs, fs, rtol=rel_tol)
     assert len(new) >= 5
     assert new == ref
     assert rec_new.calls == rec_ref.calls
 
 
-def test_bisect_root_near_rule_with_sample_on_root():
-    # a sample exactly on the root brackets it in the cells on both sides
+def test_grid_roots_rtol_returns_sample_on_root():
+    # the old <= rule bisected toward an exact-zero sample from both sides;
+    # grid_roots returns the sample itself, once, without evaluating f
     def f(x):
         return (x - 2.0) * (x - 7.5)
 
@@ -143,9 +142,11 @@ def test_bisect_root_near_rule_with_sample_on_root():
     fs = [f(x) for x in xs]
     assert fs[8] == 0.0
     ref = ref_near_scan(f, xs, fs, 1e-6)
-    new = new_near_scan(f, xs, fs, 1e-6)
-    assert new == ref and len(new) == 2
-    assert new[0] < 2.0 < new[1]
+    assert len(ref) == 2 and ref[0] < 2.0 < ref[1]
+    rec = Recorded(f)
+    assert grid_roots(rec, xs, fs, rtol=1e-6) == [2.0]
+    assert rec.calls == []
+    assert all(abs(r - 2.0) < 1e-6 * 2.0 for r in ref)
 
 
 def test_bisect_root_xtol_and_rtol_add():

@@ -46,6 +46,8 @@ RUNS = [
                    "--samples", "6", "--out", "samples.csv"]),
     ("sieve-invert", ["sieve", "invert", "--E", "1.00441815", "--N", N_DESK,
                       "--j", "10000", "--T", "1000"]),
+    ("sieve-invert-unbracketed", ["sieve", "invert", "--E", "50", "--N", N_DESK,
+                                  "--j", "10000", "--T", "1000"]),
     ("ensemble-1000", ["ensemble", "enumerate", "--j", "1000", "--out", "ens.csv"]),
     ("ensemble-50-window", ["ensemble", "enumerate", "--j", "50", "--x-min", "40",
                             "--x-max", "200", "--out", "ens.csv"]),
