@@ -84,7 +84,8 @@ class PrimeTable:
     """Segmented sieve over odd numbers with checkpointed prime counts.
 
     `cached_counts[k]` = pi(upper edge of segment k). `pi` fills a small
-    per-segment cache of byte counts, so queries are not thread-safe.
+    per-segment cache of counts per 64-bit word, so queries are not
+    thread-safe.
     """
 
     limit: int
@@ -115,14 +116,19 @@ class PrimeTable:
             lo_odd += 2 * n_odds
             done += n_odds
 
-    def _byte_cumsum(self, k: int) -> np.ndarray:
-        """Cumulative prime count per packed byte of segment k (LRU-cached)."""
+    def _word_cumsum(self, k: int) -> np.ndarray:
+        """Cumulative prime count per 64-bit word (8 packed bytes) of segment k.
+
+        One uint32 per word is half the size of the page it indexes; the
+        16 most recently built are kept.
+        """
         cache = self.__dict__.setdefault("_cum_cache", {})
         if k not in cache:
             if len(cache) >= 16:
                 cache.pop(next(iter(cache)))
-            counts = _POPCOUNT8[self.segments[k]].astype(np.uint32)
-            cache[k] = np.cumsum(counts, dtype=np.uint32)
+            bits = _POPCOUNT8[self.segments[k]]
+            per_word = np.add.reduceat(bits, np.arange(0, bits.size, 8), dtype=np.uint32)
+            cache[k] = np.cumsum(per_word, dtype=np.uint32)
         return cache[k]
 
     def contains(self, n: int) -> bool:
@@ -145,11 +151,12 @@ class PrimeTable:
             raise PrimeRangeError(f"pi({x}) beyond table limit {self.limit}")
         idx = (x - 1) // 2 if x % 2 else (x - 2) // 2  # last odd <= x
         k, off = divmod(idx, _PAGE_ODDS)
-        cum = self._byte_cumsum(k)
         nbyte, nbit = divmod(off, 8)
-        count = 1 + (int(cum[nbyte - 1]) if nbyte > 0 else 0)
-        byte = int(self.segments[k][nbyte])
-        count += bin(byte >> (7 - nbit)).count("1")
+        word = nbyte >> 3
+        count = 1 + (int(self._word_cumsum(k)[word - 1]) if word > 0 else 0)
+        # the word's bytes up to nbyte as one big-endian int, bits past nbit dropped
+        head = self.segments[k][8 * word : nbyte + 1].tobytes()
+        count += bin(int.from_bytes(head, "big") >> (7 - nbit)).count("1")
         if k > 0:
             count += self.cached_counts[k - 1] - 1
         return count

@@ -5,10 +5,17 @@ q_G; each gauge carries k_m stationary levels E_k. Monte-Carlo sampling
 over the sqrt(N) window plus the truncated-explicit-formula inversion
 x(E) produces the (E, x) probability maps that the classical ensemble
 enumeration is compared against.
+
+pi~ has one evaluator, `pi_approx_many`, over a 1-D array of x; the
+scalar `pi_approx` is a one-element call of it, and every element of a
+batch equals the scalar value bit for bit. The inversion objective takes
+a float (one bisection step) or an array (one scan grid, evaluated with
+one `pi_approx_many` call over the xs and N/xs together).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -58,6 +65,13 @@ class ZetaZerosTable:
     @property
     def count(self) -> int:
         return len(self.heights)
+
+    @functools.cached_property
+    def sigmas(self) -> np.ndarray:
+        """The heights as a read-only float array, built once per table."""
+        a = np.array(self.heights, dtype=float)
+        a.flags.writeable = False
+        return a
 
     @classmethod
     def from_file(cls, path) -> "ZetaZerosTable":
@@ -183,28 +197,33 @@ def _zeta_int(k: int) -> float:
 
 # Gram-series coefficients 1 / (n zeta(n+1)), n = 1..192
 _GRAM_ZINV = np.array([1.0 / (n * _zeta_int(n + 1)) for n in range(1, 193)])
+_GRAM_N = np.arange(1.0, _GRAM_ZINV.size + 1.0)
 # the last Gram term must fall below this fraction of R(x)
 GRAM_TAIL = 1e-12
 
 
-def riemann_R(x: float) -> float:
+def riemann_R(x: float | np.ndarray) -> float | np.ndarray:
     """Gram series R(x) = 1 + sum_n (log x)^n / (n n! zeta(n+1)).
 
     All terms are positive for x > 1, so the sum is stable; the tail is
     bounded by the last of the 192 terms, which must stay below
     GRAM_TAIL times the total. Supports x up to ~1e12 (log x ~ 28, well
-    inside the term budget) in double precision.
+    inside the term budget) in double precision. R(1) = 1 exactly. A 1-D
+    ndarray of x gives the array of R(x) in one pass; a float x gives a
+    float, from a one-element array.
     """
-    if x <= 1.0:
-        if x == 1.0:
-            return 1.0
-        raise ValueError("riemann_R needs x > 1")
-    s = math.log(x)
-    pow_over_fact = np.cumprod(s / np.arange(1.0, _GRAM_ZINV.size + 1.0))
-    adds = pow_over_fact * _GRAM_ZINV
-    total = 1.0 + float(adds.sum())
-    if adds[-1] > GRAM_TAIL * total:
-        raise ArithmeticError(f"Gram series tail bound {GRAM_TAIL} not reached for x={x}")
+    if not isinstance(x, np.ndarray):
+        return float(riemann_R(np.array([x], dtype=float))[0])
+    xs = x.tolist()
+    if min(xs, default=1.0) < 1.0:
+        raise ValueError("riemann_R needs x >= 1")
+    # math.log, not np.log, which may differ in the last place
+    logs = np.array([[math.log(v)] for v in xs])
+    adds = np.cumprod(logs / _GRAM_N, axis=1) * _GRAM_ZINV
+    total = 1.0 + adds.sum(axis=1)
+    for v, last, t in zip(xs, adds[:, -1].tolist(), total.tolist()):
+        if last > GRAM_TAIL * t:
+            raise ArithmeticError(f"Gram series tail bound {GRAM_TAIL} not reached for x={v}")
     return total
 
 
@@ -230,6 +249,15 @@ def _mobius_upto(M: int) -> list[int]:
 _MU = _mobius_upto(64)
 
 
+def _ei_fixed_depth(w: np.ndarray) -> np.ndarray:
+    """The |w| >= 20 branch of `_ei_asymptotic`: Horner over sum_k k!/w^k, k <= 12."""
+    inv = 1.0 / w
+    s = 1.0 + 12.0 * inv
+    for k in range(11, 0, -1):
+        s = 1.0 + (k * inv) * s
+    return np.exp(w) * inv * s
+
+
 def _ei_asymptotic(w: np.ndarray) -> np.ndarray:
     """Ei(w) ~ e^w / w * sum_k k!/w^k, optimally truncated, vectorized.
 
@@ -244,35 +272,39 @@ def _ei_asymptotic(w: np.ndarray) -> np.ndarray:
     under the conjugate-pair folding every caller here applies.
     """
     w = np.asarray(w, dtype=complex)
+    big = np.abs(w) >= 20.0
+    n_big = np.count_nonzero(big)
+    if n_big == w.size:
+        return _ei_fixed_depth(w)
     out = np.empty_like(w)
-    aw = np.abs(w)
-    big = aw >= 20.0
-    if big.any():
-        wb = w[big]
-        inv = 1.0 / wb
-        s = 1.0 + 12.0 * inv
-        for k in range(11, 0, -1):
-            s = 1.0 + (k * inv) * s  # Horner over sum_k k!/w^k
-        out[big] = np.exp(wb) * inv * s
+    if n_big:
+        out[big] = _ei_fixed_depth(w[big])
     small = ~big
-    if small.any():
-        ws = w[small]
-        term = np.ones_like(ws)
-        total = np.ones_like(ws)
-        active = np.ones(ws.shape, dtype=bool)
-        for k in range(1, 48):
-            nxt = term * (k / ws)
-            active &= np.abs(nxt) < np.abs(term)
-            nxt = np.where(active, nxt, 0.0)
-            total += nxt
-            term = np.where(active, nxt, term)
-            if not active.any():
-                break
-        out[small] = np.exp(ws) / ws * total
+    ws = w[small]
+    term = np.ones_like(ws)
+    total = np.ones_like(ws)
+    active = np.ones(ws.shape, dtype=bool)
+    for k in range(1, 48):
+        nxt = term * (k / ws)
+        active &= np.abs(nxt) < np.abs(term)
+        nxt = np.where(active, nxt, 0.0)
+        total += nxt
+        term = np.where(active, nxt, term)
+        if not active.any():
+            break
+    out[small] = np.exp(ws) / ws * total
     return out
 
 
-def r_complex_folded(x: float, sigmas: np.ndarray) -> np.ndarray:
+def _moebius_terms(logx: float, min_abs_z: float) -> tuple:
+    """The m of the Moebius-li expansion at log x (see r_complex_folded)."""
+    M = max(1, int(logx / (2.0 * math.log(2.0))))
+    min_abs_s = min_abs_z * logx
+    ms = tuple(m for m in range(1, M + 1) if _MU[m] != 0 and min_abs_s / m >= 6.0)
+    return ms or (1,)
+
+
+def r_complex_folded(x: float | np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """2 Re R(x^rho) for rho = 1/2 + i sigma, via the Moebius-li expansion.
 
     R at complex argument is evaluated as sum_m mu(m)/m li(x^{rho/m});
@@ -281,47 +313,82 @@ def r_complex_folded(x: float, sigmas: np.ndarray) -> np.ndarray:
     truncation (m while x^{1/(2m)} >= 2 and |s|/m large enough for the
     asymptotic Ei) was validated against sieve counts. Conjugate zeros
     are folded so the result is real by construction.
+
+    A float x gives one value per sigma; a 1-D ndarray of x gives one row
+    per x. The xs that share their list of m go through `_ei_asymptotic`
+    as one (x, m, sigma) block, summed over m in order, so each row equals
+    the float result bit for bit.
     """
+    if not isinstance(x, np.ndarray):
+        return r_complex_folded(np.array([x], dtype=float), sigmas)[0]
     sigmas = np.asarray(sigmas, dtype=float)
-    logx = math.log(x)
-    s = (0.5 + 1j * sigmas) * logx
-    min_abs_s = math.hypot(0.5, float(sigmas.min())) * logx
-    M = max(1, int(logx / (2.0 * math.log(2.0))))
-    ms = [m for m in range(1, M + 1) if _MU[m] != 0 and min_abs_s / m >= 6.0]
-    if not ms:
-        ms = [1]
-    marr = np.array(ms, dtype=float)
-    w = s[None, :] / marr[:, None]  # (n_m, n_zeros)
-    vals = _ei_asymptotic(w)
+    logs = [math.log(v) for v in x.tolist()]
+    z = 0.5 + 1j * sigmas
+    min_abs_z = math.hypot(0.5, float(sigmas.min()))
+    groups: dict[tuple, list] = {}
+    for i, logx in enumerate(logs):
+        groups.setdefault(_moebius_terms(logx, min_abs_z), []).append(i)
+    if len(groups) == 1:
+        [ms] = groups
+        return _folded_block(z, logs, ms)
+    out = np.empty((len(logs), sigmas.size))
+    for ms, rows in groups.items():
+        out[rows] = _folded_block(z, [logs[i] for i in rows], ms)
+    return out
+
+
+def _folded_block(z: np.ndarray, logs: list, ms: tuple) -> np.ndarray:
+    """Rows of r_complex_folded for the log xs that share one list of m."""
+    s = z * np.array([[logx] for logx in logs])  # (n_x, n_zeros)
+    w = s[:, None, :] / np.array(ms, dtype=float)[:, None]  # (n_x, n_m, n_zeros)
     coef = np.array([_MU[m] / m for m in ms])
-    total = (coef[:, None] * vals).sum(axis=0)
+    total = (coef[:, None] * _ei_asymptotic(w)).sum(axis=1)
     return 2.0 * total.real
 
 
-def pi_approx(x: float, zeros: ZetaZerosTable, T: int) -> float:
-    """pi(x) ~ R(x) - sum_{k<=T} R(x^{rho_k}), conjugate pairs folded."""
-    if x < 2.0:
+def pi_approx_many(xs: np.ndarray, zeros: ZetaZerosTable, T: int) -> np.ndarray:
+    """pi~(x) = R(x) - sum_{k<=T} R(x^{rho_k}) for every x of a 1-D array.
+
+    The one pi~ evaluator: `riemann_R` and `r_complex_folded` each take
+    the whole array in one call, and every element equals the scalar
+    `pi_approx` of it bit for bit, whatever else is in the batch.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if min(xs.tolist(), default=2.0) < 2.0:
         raise ValueError("pi_approx needs x >= 2")
     if T > zeros.count:
         raise ValueError(f"T = {T} exceeds table size {zeros.count}")
-    r = riemann_R(x)
+    r = riemann_R(xs)
     if T == 0:
         return r
-    corr = r_complex_folded(x, np.array(zeros.heights[:T]))
-    return r - float(np.sum(corr))
+    return r - r_complex_folded(xs, zeros.sigmas[:T]).sum(axis=1)
 
 
-def inversion_objective(N: float, j: int, zeros: ZetaZerosTable,
-                        T: int) -> Callable[[float], float]:
+def pi_approx(x: float, zeros: ZetaZerosTable, T: int) -> float:
+    """pi(x) ~ R(x) - sum_{k<=T} R(x^{rho_k}), conjugate pairs folded.
+
+    A one-element call of `pi_approx_many`.
+    """
+    return float(pi_approx_many(np.array([x], dtype=float), zeros, T)[0])
+
+
+def inversion_objective(N: float, j: int, zeros: ZetaZerosTable, T: int) -> Callable:
     """g(x) = pi~(x) pi~(N/x) / j^2, the E that x(E) inversion inverts.
 
-    g does not depend on E, so one g serves every inversion at the same
-    (N, j, T); `MemoObjective` shares its values across them.
+    g takes a 1-D ndarray of x and gives the array of E, with one
+    `pi_approx_many` call over the xs and the N/xs together; a float x
+    (a bisection step) takes two scalar `pi_approx` calls and gives a
+    float, equal to the array's element bit for bit. g does not depend on
+    E, so one g serves every inversion at the same (N, j, T);
+    `MemoObjective` shares its values across them.
     """
     j2 = float(j) * float(j)
 
-    def g(x: float) -> float:
-        return pi_approx(x, zeros, T) * pi_approx(N / x, zeros, T) / j2
+    def g(x):
+        if not isinstance(x, np.ndarray):
+            return pi_approx(x, zeros, T) * pi_approx(N / x, zeros, T) / j2
+        p = pi_approx_many(np.concatenate((x, N / x)), zeros, T)
+        return p[:x.size] * p[x.size:] / j2
 
     return g
 
@@ -332,10 +399,12 @@ class MemoObjective:
 
     The bisections of one Monte-Carlo run all start from the same bracket,
     so they revisit the same midpoints; a hit returns the stored float,
-    which is exactly what a fresh evaluation would return.
+    which is exactly what a fresh evaluation would return. Like g it takes
+    a float or an array; the misses of an array are evaluated as one batch,
+    and each x of it counts as one hit or one miss.
     """
 
-    g: Callable[[float], float]
+    g: Callable
     values: dict = field(default_factory=dict, repr=False)
     hits: int = 0
 
@@ -343,13 +412,20 @@ class MemoObjective:
     def misses(self) -> int:
         return len(self.values)
 
-    def __call__(self, x: float) -> float:
-        v = self.values.get(x)
-        if v is None:
-            v = self.values[x] = self.g(x)
-        else:
-            self.hits += 1
-        return v
+    def __call__(self, x):
+        if not isinstance(x, np.ndarray):
+            v = self.values.get(x)
+            if v is None:
+                v = self.values[x] = self.g(x)
+            else:
+                self.hits += 1
+            return v
+        keys = x.tolist()
+        new = [k for k in dict.fromkeys(keys) if k not in self.values]
+        if new:
+            self.values.update(zip(new, self.g(np.array(new)).tolist()))
+        self.hits += len(keys) - len(new)
+        return np.array([self.values[k] for k in keys])
 
 
 def invert_x_of_E(
@@ -359,7 +435,7 @@ def invert_x_of_E(
     zeros: ZetaZerosTable,
     T: int,
     near: float | None = None,
-    objective: Callable[[float], float] | None = None,
+    objective: Callable | None = None,
 ) -> float:
     """Solve E = pi~(x) pi~(N/x) / j^2 for x by bracketed bisection.
 
@@ -373,9 +449,11 @@ def invert_x_of_E(
     shows, and returns the root closest to `near`, to certify a known root.
     Both go through `roots.grid_roots`: a sample where the objective is
     exactly E is a root, and a sign change is bisected to a relative width
-    of INVERT_REL_TOL. Raises BracketError when no root shows.
-    `objective`, if given, must equal `inversion_objective(N, j, zeros, T)`
-    (a memoized copy, say); it replaces the one built here.
+    of INVERT_REL_TOL. Each scan grid is one array call of the objective;
+    only the bisection steps evaluate one x at a time. Raises BracketError
+    when no root shows. `objective`, if given, must equal
+    `inversion_objective(N, j, zeros, T)` (a memoized copy, say), arrays
+    included; it replaces the one built here.
     """
     sqrt_n = math.sqrt(N)
     g = objective if objective is not None else inversion_objective(N, j, zeros, T)
@@ -386,10 +464,10 @@ def invert_x_of_E(
     w = _NEAR_WINDOW
     for _ in range(1 if near is None else 6):
         if near is None:
-            xs = [max(N ** 0.25, 2.01), sqrt_n]
+            xs = np.array([max(N ** 0.25, 2.01), sqrt_n])
         else:
-            xs = np.linspace(near * (1.0 - w), min(near * (1.0 + w), sqrt_n), 17).tolist()
-        fs = [f(x) for x in xs]
+            xs = np.linspace(near * (1.0 - w), min(near * (1.0 + w), sqrt_n), 17)
+        xs, fs = xs.tolist(), (g(xs) - E).tolist()
         roots = grid_roots(f, xs, fs, rtol=INVERT_REL_TOL)
         if roots:
             # the eta oscillations can put a second root inside the window

@@ -138,6 +138,20 @@ def test_sieve_vs_combinatorial(engine):
     assert engine.pi(54321) == prime_pi_lucy(54321)
 
 
+def test_pi_word_counts_against_lucy():
+    """pi from the per-word counts plus the popcount of the bytes left, at
+    the page edge, at word (64 odds) and byte (8 odds) edges, and at seeded x."""
+    table = PrimeTable(9_000_000)  # two sieve pages
+    page_edge = 2 * _PAGE_ODDS + 1  # first odd of the second page
+    xs = [page_edge + d for d in range(-5, 6)] + [table.limit - 1, table.limit]
+    for first_odd in (1, 129, 1025, 2 * 64 * 1000 + 1, page_edge + 128, page_edge + 16 * 777):
+        xs += [first_odd + d for d in (-17, -16, -2, -1, 0, 1, 2, 15, 16, 17)]
+    rng = random.Random(9)
+    xs += [rng.randint(2, table.limit) for _ in range(50)]
+    for x in xs:
+        assert table.pi(x) == prime_pi_lucy(x), x
+
+
 def test_nth_prime_across_pages():
     table = PrimeTable(9_000_000)  # two sieve pages
     assert len(table.cached_counts) == 2

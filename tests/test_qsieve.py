@@ -124,6 +124,18 @@ def test_riemann_R_examples(zeros):
     assert 0 < gap < 10 * math.sqrt(10**6) / math.log(10**6)
 
 
+def test_riemann_R_guards():
+    assert type(riemann_R(10.0)) is float
+    with pytest.raises(ValueError):
+        riemann_R(0.5)
+    with pytest.raises(ValueError):
+        riemann_R(np.array([2.0, 0.5]))
+    with pytest.raises(ArithmeticError):
+        riemann_R(1e60)
+    with pytest.raises(ArithmeticError):
+        riemann_R(np.array([10.0, 1e60]))
+
+
 def test_riemann_R_increasing():
     xs = np.geomspace(2.0, 10**6, 60)
     vals = [riemann_R(float(x)) for x in xs]
@@ -162,6 +174,160 @@ def test_pi_approx_guards(zeros):
         pi_approx(100.0, zeros, zeros.count + 1)
 
 
+# The scalar explicit-formula path as it stood before the array evaluator,
+# kept as the reference that pi_approx_many must match bit for bit.
+
+
+def _ref_riemann_R(x):
+    if x <= 1.0:
+        if x == 1.0:
+            return 1.0
+        raise ValueError("riemann_R needs x > 1")
+    s = math.log(x)
+    pow_over_fact = np.cumprod(s / np.arange(1.0, qsieve._GRAM_ZINV.size + 1.0))
+    adds = pow_over_fact * qsieve._GRAM_ZINV
+    total = 1.0 + float(adds.sum())
+    if adds[-1] > qsieve.GRAM_TAIL * total:
+        raise ArithmeticError(f"Gram series tail bound not reached for x={x}")
+    return total
+
+
+def _ref_ei_asymptotic(w):
+    w = np.asarray(w, dtype=complex)
+    out = np.empty_like(w)
+    aw = np.abs(w)
+    big = aw >= 20.0
+    if big.any():
+        wb = w[big]
+        inv = 1.0 / wb
+        s = 1.0 + 12.0 * inv
+        for k in range(11, 0, -1):
+            s = 1.0 + (k * inv) * s
+        out[big] = np.exp(wb) * inv * s
+    small = ~big
+    if small.any():
+        ws = w[small]
+        term = np.ones_like(ws)
+        total = np.ones_like(ws)
+        active = np.ones(ws.shape, dtype=bool)
+        for k in range(1, 48):
+            nxt = term * (k / ws)
+            active &= np.abs(nxt) < np.abs(term)
+            nxt = np.where(active, nxt, 0.0)
+            total += nxt
+            term = np.where(active, nxt, term)
+            if not active.any():
+                break
+        out[small] = np.exp(ws) / ws * total
+    return out
+
+
+def _ref_r_complex_folded(x, sigmas):
+    sigmas = np.asarray(sigmas, dtype=float)
+    logx = math.log(x)
+    s = (0.5 + 1j * sigmas) * logx
+    min_abs_s = math.hypot(0.5, float(sigmas.min())) * logx
+    M = max(1, int(logx / (2.0 * math.log(2.0))))
+    ms = [m for m in range(1, M + 1) if qsieve._MU[m] != 0 and min_abs_s / m >= 6.0]
+    if not ms:
+        ms = [1]
+    marr = np.array(ms, dtype=float)
+    w = s[None, :] / marr[:, None]
+    vals = _ref_ei_asymptotic(w)
+    coef = np.array([qsieve._MU[m] / m for m in ms])
+    total = (coef[:, None] * vals).sum(axis=0)
+    return 2.0 * total.real
+
+
+def _ref_pi_approx(x, zeros, T):
+    r = _ref_riemann_R(x)
+    if T == 0:
+        return r
+    corr = _ref_r_complex_folded(x, np.array(zeros.heights[:T]))
+    return r - float(np.sum(corr))
+
+
+def _ref_objective(N, j, zeros, T):
+    j2 = float(j) * float(j)
+
+    def g(x):
+        if isinstance(x, np.ndarray):
+            return np.array([g(v) for v in x.tolist()])
+        return _ref_pi_approx(x, zeros, T) * _ref_pi_approx(N / x, zeros, T) / j2
+
+    return g
+
+
+def _edges(points, rng):
+    """Each point, its float neighbours and seeded relative offsets around it."""
+    out = []
+    for p in points:
+        out += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        out += (p * (1.0 + rng.uniform(-1e-6, 1e-6, 2))).tolist()
+        out += (p * (1.0 + rng.uniform(-0.05, 0.05, 2))).tolist()
+    return out
+
+
+def _low_cut_edges(sigma_min, x_max):
+    """x where min_abs_s/m = 6 for a zero set with smallest height sigma_min."""
+    edges = []
+    for m in range(1, 64):
+        logx = 6.0 * m / math.hypot(0.5, sigma_min)
+        if logx < math.log(x_max) and qsieve._MU[m] != 0:
+            edges.append(math.exp(logx))
+    return edges
+
+
+def test_pi_approx_many_matches_reference(engine, zeros, monkeypatch):
+    """pi_approx_many, its kernels and the scalar wrappers equal the old
+    scalar loop by ==, on a sweep across every edge of the list of m:
+    M = floor(log x / 2 log 2) steps at x = 4^k, and the min_abs_s/m >= 6
+    cut (which the zeta zeros never reach, so a low synthetic zero set
+    crosses it). Batches mix groups; single points go alone as well. Then
+    criterion-8 inversions, at near = x and off it, give the same roots
+    with the reference objective swapped in."""
+    rng = np.random.default_rng(2024)
+    xs = _edges([4.0**k for k in range(1, 19)], rng)
+    xs += np.exp(rng.uniform(math.log(2.0), math.log(1e11), 200)).tolist()
+    # x where np.log and math.log round apart, if this NumPy has any
+    cand = np.exp(rng.uniform(math.log(2.0), math.log(1e11), 200_000))
+    xs += cand[np.log(cand) != np.array([math.log(x) for x in cand.tolist()])][:8].tolist()
+    xs = [x for x in xs if x >= 2.0]
+    rng.shuffle(xs)
+    for T in (0, 1, 50, 100):
+        ref = [_ref_pi_approx(x, zeros, T) for x in xs]
+        assert qsieve.pi_approx_many(np.array(xs), zeros, T).tolist() == ref
+        assert [qsieve.pi_approx_many(np.array([x]), zeros, T)[0] for x in xs] == ref
+        assert [pi_approx(x, zeros, T) for x in xs] == ref
+    assert riemann_R(np.array(xs)).tolist() == [_ref_riemann_R(x) for x in xs]
+
+    low = np.array([0.3, 2.0, 7.5])
+    xl = [x for x in _edges(_low_cut_edges(0.3, 1e11), rng) if x >= 2.0]
+    ref = np.array([_ref_r_complex_folded(x, low) for x in xl])
+    assert np.array_equal(qsieve.r_complex_folded(np.array(xl), low), ref)
+    assert all(np.array_equal(qsieve.r_complex_folded(x, low), r) for x, r in zip(xl, ref))
+
+    # the reference objective in place of the batched one: the same roots
+    cases = []
+    entries = enumerate_ensemble(EnsembleQuery(j=1000), engine)
+    for i in rng.permutation(len(entries)):
+        e = entries[i]
+        x = float(e.x)
+        if e.x <= make_gauge(e.N, 0.0, engine, j=e.j).B_G:
+            continue
+        E = _ref_objective(float(e.N), e.j, zeros, 100)(x)
+        if 1.0 < E < 9.0 / 8.0:
+            offset = rng.uniform(-0.3, 0.3) * qsieve._NEAR_WINDOW
+            cases += [(E, float(e.N), e.j, x), (E, float(e.N), e.j, x * (1.0 + offset))]
+        if len(cases) == 24:
+            break
+    roots = []
+    for objective in (qsieve.inversion_objective, _ref_objective):
+        monkeypatch.setattr(qsieve, "inversion_objective", objective)
+        roots.append([invert_x_of_E(E, N, j, zeros, 100, near=near) for E, N, j, near in cases])
+    assert roots[0] == roots[1]
+
+
 def test_invert_symmetric_closed_loop(zeros):
     """N = p^2: the E computed at x = p inverts back to p."""
     p = 104729.0
@@ -193,8 +359,8 @@ def test_invert_near_offset_round_trip(engine, zeros):
             continue
         calls = []
 
-        def counted(y):
-            calls.append(y)
+        def counted(y):  # a scan grid is one array call; count its points
+            calls.extend(np.atleast_1d(y).tolist())
             return g(y)
 
         near = x * (1.0 + rng.uniform(-0.02, 0.02) * qsieve._NEAR_WINDOW)
@@ -253,23 +419,23 @@ def test_montecarlo_failure_and_memo_counts(engine, zeros, monkeypatch):
     G_list = (0.0, 0.5, 3.0)  # G = 3 is rejected at every draw
     mc = MonteCarloConfig(samples=4, rng_seed=1, T=50)
     evaluations = 0
-    pi_calls = 0
-    invert, pi = qsieve.invert_x_of_E, qsieve.pi_approx
+    pi_calls = 0  # points evaluated, not calls: a scan grid is one batch
+    invert, pi_many = qsieve.invert_x_of_E, qsieve.pi_approx_many
 
     def counting_invert(*args, objective, **kwargs):
         def counted(x):
             nonlocal evaluations
-            evaluations += 1
+            evaluations += np.size(x)
             return objective(x)
         return invert(*args, objective=counted, **kwargs)
 
-    def counting_pi(*args):
+    def counting_pi(xs, *args):
         nonlocal pi_calls
-        pi_calls += 1
-        return pi(*args)
+        pi_calls += np.size(xs)
+        return pi_many(xs, *args)
 
     monkeypatch.setattr(qsieve, "invert_x_of_E", counting_invert)
-    monkeypatch.setattr(qsieve, "pi_approx", counting_pi)
+    monkeypatch.setattr(qsieve, "pi_approx_many", counting_pi)
     a = montecarlo_spectrum(N, j, G_list, mc, zeros, engine)
     assert a.gauge_rejections == 4 and a.bracket_misses > 0
     assert a.failed_inversions == a.gauge_rejections + a.bracket_misses
