@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .primes import PrimeEngine, PrimeRangeError, is_prime
+from .primes import PrimeEngine, PrimeRangeError, PrimeTable, is_prime
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +77,10 @@ def ensemble_arrays(j: int, x_lo: Optional[int], x_hi: Optional[int],
 
     int64 arrays sorted by (N, x); None leaves a side of the window at
     its natural bound (2 or p_j). No y exceeds (N_hi - 1) // x_lo,
-    so one sieve table covers the y-side: for each prime x the primes of
-    its y-window are read from that table, and their pi values follow
-    from one pi lookup at the window's lower edge.
+    so one sieve table covers the y-side, and every prime x's y-window
+    [ceil(N_lo/x), (N_hi - 1)//x] is read from it in one pass
+    (`PrimeTable.primes_between_many`). pi(y) is one array `pi_many` at
+    each window's lower edge plus the rank of y within its window.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -87,30 +88,32 @@ def ensemble_arrays(j: int, x_lo: Optional[int], x_hi: Optional[int],
     pj = math.isqrt(n_lo)
     x_lo = max(2, x_lo or 2)
     x_hi = min(pj, x_hi if x_hi is not None else pj)
-    empty = np.empty(0, dtype=np.int64)
     if x_lo > x_hi:
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, empty
     y_max = (n_hi - 1) // x_lo
     try:
         engine.ensure_limit(y_max)
     except (MemoryError, OverflowError) as exc:
         raise PrimeRangeError(f"y-side bound {y_max} too large to sieve") from exc
-    table = engine.table
-    xs = table.primes_between(x_lo, x_hi)
-    pix0 = table.pi(x_lo - 1)
-    cols = ([empty], [empty], [empty], [empty])
-    for i, x in enumerate(xs.tolist()):
-        y_start = max(x, -(-n_lo // x))
-        ys = table.primes_between(y_start, (n_hi - 1) // x)
-        if ys.size == 0:
-            continue
-        cols[0].append(np.full(ys.size, x, dtype=np.int64))
-        cols[1].append(ys)
-        cols[2].append(np.full(ys.size, pix0 + 1 + i, dtype=np.int64))
-        cols[3].append(table.pi(y_start - 1) + 1 + np.arange(ys.size, dtype=np.int64))
-    x, y, pix, piy = (np.concatenate(c) for c in cols)
+    x, y, pix, piy = _pair_columns(engine.table, x_lo, x_hi, n_lo, n_hi)
     order = np.lexsort((x, x * y))
     return x[order], y[order], pix[order], piy[order]
+
+
+def _pair_columns(table: PrimeTable, x_lo: int, x_hi: int, n_lo: int, n_hi: int):
+    """Unsorted (x, y, pix, piy) of every prime x in [x_lo, x_hi] and prime
+    y in its window; the read's temporaries die with this call."""
+    xs = table.primes_between(x_lo, x_hi)
+    # y runs from ceil(N_lo/x), already >= p_j >= x, to (N_hi - 1)//x;
+    # np.divmod, not //, for the reason in primes._clip_at_zero
+    y_lo = np.divmod(n_lo - 1, xs)[0] + 1
+    ys, counts = table.primes_between_many(y_lo, np.divmod(n_hi - 1, xs)[0])
+    first = np.cumsum(counts) - counts  # index in ys of each window's first y
+    pix = table.pi(x_lo - 1) + 1 + np.arange(xs.size, dtype=np.int64)
+    piy = np.repeat(table.pi_many(y_lo - 1) + 1 - first, counts)
+    piy += np.arange(ys.size, dtype=np.int64)
+    return np.repeat(xs, counts), ys, np.repeat(pix, counts), piy
 
 
 def enumerate_ensemble(query: EnsembleQuery, engine: PrimeEngine) -> list[EnsembleEntry]:

@@ -20,9 +20,14 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 # Odd-number segment size for the sieve, in odds per page (~0.5 MB packed).
-_PAGE_ODDS = 1 << 22
+_PAGE_SHIFT = 22
+_PAGE_ODDS = 1 << _PAGE_SHIFT
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+# [b, r]: byte b with its bits before (after) bit r cleared, bit 0 being the high bit
+_SHIFTS = 7 - np.arange(8)
+_KEEP_FROM = (np.arange(256)[:, None] % (2 << _SHIFTS)).astype(np.uint8)
+_KEEP_UPTO = ((np.arange(256)[:, None] >> _SHIFTS) << _SHIFTS).astype(np.uint8)
 
 _MAX_INPUT = 1 << 64
 _COMBINATORIAL_LIMIT = 10**12
@@ -79,13 +84,24 @@ def _sieve_odd_page(lo_odd: int, n_odds: int, base_primes: np.ndarray) -> np.nda
     return page
 
 
+def _clip_at_zero(a: np.ndarray) -> np.ndarray:
+    """max(a, 0) for an int64 array, from a sign shift and a product.
+
+    The array arithmetic of `PrimeTable` keeps to shifts, sums, products,
+    divmod and gathers: the int64 comparisons, np.maximum and // each
+    fault in another 64-128 kB of NumPy's code, which peak RSS counts.
+    """
+    return a * (1 + (a >> 63))
+
+
 @dataclass
 class PrimeTable:
     """Segmented sieve over odd numbers with checkpointed prime counts.
 
-    `cached_counts[k]` = pi(upper edge of segment k). `pi` fills a small
-    per-segment cache of counts per 64-bit word, so queries are not
-    thread-safe.
+    The packed bits of all pages live in one array, padded to whole 64-bit
+    words; `segments[k]` is the view of page k, and `cached_counts[k]` =
+    pi(upper edge of segment k). `pi_many` fills a small per-segment cache
+    of counts per 64-bit word, so queries are not thread-safe.
     """
 
     limit: int
@@ -104,6 +120,7 @@ class PrimeTable:
                 base[(p * p - 1) // 2 :: p] = False
         self._base_primes = 2 * np.nonzero(base)[0] + 1
         n_total_odds = (self.limit - 1) // 2 + 1  # odds 1,3,...,<=limit
+        self._packed = np.zeros(((n_total_odds + 63) >> 6) << 3, dtype=np.uint8)
         count = 1  # the prime 2
         lo_odd = 1
         done = 0
@@ -111,13 +128,17 @@ class PrimeTable:
             n_odds = min(_PAGE_ODDS, n_total_odds - done)
             page = _sieve_odd_page(lo_odd, n_odds, self._base_primes)
             count += int(page.sum())
-            self.segments.append(np.packbits(page))
+            bits = np.packbits(page)
+            segment = self._packed[done >> 3 : (done >> 3) + bits.size]
+            segment[:] = bits
+            self.segments.append(segment)
             self.cached_counts.append(count)
             lo_odd += 2 * n_odds
             done += n_odds
 
     def _word_cumsum(self, k: int) -> np.ndarray:
-        """Cumulative prime count per 64-bit word (8 packed bytes) of segment k.
+        """Prime count of the 64-bit words (8 packed bytes) of segment k before
+        each word: entry w counts words 0..w-1, entry 0 is 0.
 
         One uint32 per word is half the size of the page it indexes; the
         16 most recently built are kept.
@@ -128,7 +149,8 @@ class PrimeTable:
                 cache.pop(next(iter(cache)))
             bits = _POPCOUNT8[self.segments[k]]
             per_word = np.add.reduceat(bits, np.arange(0, bits.size, 8), dtype=np.uint32)
-            cache[k] = np.cumsum(per_word, dtype=np.uint32)
+            cache[k] = np.zeros(per_word.size + 1, dtype=np.uint32)
+            np.cumsum(per_word, out=cache[k][1:])
         return cache[k]
 
     def contains(self, n: int) -> bool:
@@ -144,22 +166,38 @@ class PrimeTable:
         return bool((byte >> (7 - (off & 7))) & 1)
 
     def pi(self, x: int) -> int:
-        """Exact count of primes <= x."""
-        if x < 2:
-            return 0
-        if x > self.limit:
-            raise PrimeRangeError(f"pi({x}) beyond table limit {self.limit}")
-        idx = (x - 1) // 2 if x % 2 else (x - 2) // 2  # last odd <= x
-        k, off = divmod(idx, _PAGE_ODDS)
-        nbyte, nbit = divmod(off, 8)
-        word = nbyte >> 3
-        count = 1 + (int(self._word_cumsum(k)[word - 1]) if word > 0 else 0)
-        # the word's bytes up to nbyte as one big-endian int, bits past nbit dropped
-        head = self.segments[k][8 * word : nbyte + 1].tobytes()
-        count += bin(int.from_bytes(head, "big") >> (7 - nbit)).count("1")
-        if k > 0:
-            count += self.cached_counts[k - 1] - 1
-        return count
+        """Exact count of primes <= x; a one-element call of `pi_many`."""
+        return int(self.pi_many(np.array([x], dtype=np.int64))[0])
+
+    def pi_many(self, xs: np.ndarray) -> np.ndarray:
+        """Exact count of primes <= x for every x of a 1-D int array, as int64.
+
+        Per x: pi at the upper edge of the pages before its own, the cached
+        count of the words of its page before its word, and the popcount of
+        its word's bits up to x.
+        """
+        xs = np.asarray(xs, dtype=np.int64)
+        top = max(xs.tolist(), default=0)
+        if top > self.limit:
+            raise PrimeRangeError(f"pi({top}) beyond table limit {self.limit}")
+        idx = _clip_at_zero(xs - 1) >> 1  # odd index of the last odd <= x
+        word = idx >> 6  # its 64-bit word in the packed table
+        bit = idx - (word << 6)
+        count = np.zeros(xs.size, dtype=np.int64)
+        for r in range(8):
+            # byte r of the word up to `bit`: a shift by 8 or more keeps nothing
+            count += _POPCOUNT8[self._packed[(word << 3) + r] >> _clip_at_zero(8 * r + 7 - bit)]
+        page = idx >> _PAGE_SHIFT
+        order = np.argsort(page, kind="stable")
+        ends = np.cumsum(np.bincount(page, minlength=len(self.segments))).tolist()
+        start = 0
+        for k, end in enumerate(ends):
+            if end > start:
+                sel = order[start:end]
+                words = self._word_cumsum(k)[word[sel] - (k << (_PAGE_SHIFT - 6))]
+                count[sel] += words.astype(np.int64) + (self.cached_counts[k - 1] if k else 1)
+            start = end
+        return count * (1 + ((xs - 2) >> 63))  # no prime below 2
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime (1-based); nth_prime(1) = 2."""
@@ -183,30 +221,61 @@ class PrimeTable:
         return 2 * (k * _PAGE_ODDS + 8 * b + bit) + 1
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
-        """All primes p with lo <= p <= hi, ascending, as int64.
+        """All primes p with lo <= p <= hi, ascending, as int64; a
+        one-element call of `primes_between_many`."""
+        return self.primes_between_many(np.array([lo]), np.array([hi]))[0]
 
-        Only the packed bytes covering [lo, hi] are unpacked, so the cost
-        is O(hi - lo) whatever the segment size.
+    def primes_between_many(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The primes of every window [lo[w], hi[w]] in one pass: (primes, counts).
+
+        `primes` holds each window's primes in ascending order, window after
+        window, and counts[w] how many belong to window w (0 when hi < lo).
+        The packed bytes of every window are gathered at once, the bits of
+        each window's end bytes that lie outside it are cleared, and the set
+        bits are unpacked, so the cost is O(sum of hi - lo) whatever the
+        segment size.
         """
-        if hi > self.limit:
-            raise PrimeRangeError(f"{hi} beyond table limit {self.limit}")
-        if hi < lo:
-            return np.empty(0, dtype=np.int64)
-        out = []
-        if lo <= 2 <= hi:
-            out.append(np.array([2], dtype=np.int64))
-        i_lo = max(lo, 0) // 2  # odd index of the first odd >= lo
-        i_hi = (hi - 1) // 2  # odd index of the last odd <= hi
-        for k in range(i_lo // _PAGE_ODDS, i_hi // _PAGE_ODDS + 1):
-            base = k * _PAGE_ODDS
-            off_lo = max(i_lo - base, 0)
-            off_hi = min(i_hi - base, _PAGE_ODDS - 1)
-            b_lo = off_lo >> 3
-            bits = np.unpackbits(self.segments[k][b_lo : (off_hi >> 3) + 1])
-            bits = bits[off_lo - 8 * b_lo : off_hi - 8 * b_lo + 1]
-            offs = np.nonzero(bits)[0].astype(np.int64)
-            out.append(2 * (base + off_lo + offs) + 1)
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+        lo = _clip_at_zero(np.asarray(lo, dtype=np.int64))
+        hi = np.asarray(hi, dtype=np.int64)
+        top = max(hi.tolist(), default=0)
+        if top > self.limit:
+            raise PrimeRangeError(f"{top} beyond table limit {self.limit}")
+        # odd indices of the first odd >= lo and the last odd <= hi
+        idx, window = self._window_odds(lo >> 1, (hi - 1) >> 1)
+        primes = 2 * idx + 1
+        counts = np.bincount(window, minlength=lo.size)
+        # the even prime 2, where lo <= 2 <= hi: both shifts give -1 there
+        two = np.flatnonzero(((lo - 3) >> 63) * ((1 - hi) >> 63))
+        if two.size:
+            primes = np.insert(primes, (np.cumsum(counts) - counts)[two], 2)
+            counts[two] += 1
+        return primes, counts
+
+    def _window_odds(self, i_lo: np.ndarray, i_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Odd indices i with i_lo[w] <= i <= i_hi[w] whose odd 2i+1 is prime,
+        with their window w; ascending within each window, windows in order.
+        The gathered bytes and bits die with this call.
+        """
+        b_lo = i_lo >> 3
+        # a window with i_hi < i_lo inside one byte reads that byte and keeps none of it
+        n_bytes = _clip_at_zero((i_hi >> 3) - b_lo + 1)
+        ends = np.cumsum(n_bytes)
+        shift = b_lo - (ends - n_bytes)  # table byte = gathered byte + shift[w]
+        byte = np.arange(ends[-1] if ends.size else 0, dtype=np.int64)
+        byte += np.repeat(shift, n_bytes)
+        packed = self._packed[byte]
+        del byte
+        read = np.flatnonzero(n_bytes)
+        first, last = (ends - n_bytes)[read], ends[read] - 1
+        a = (i_lo - (b_lo << 3))[read]  # bit of the window's first odd in its byte
+        c = (i_hi - ((i_hi >> 3) << 3))[read]  # bit of its last odd
+        packed[first] = _KEEP_FROM[packed[first], a]
+        packed[last] = _KEEP_UPTO[packed[last], c]
+        pos = np.flatnonzero(np.unpackbits(packed))  # bit of the gather
+        del packed
+        window = np.searchsorted(ends, pos >> 3, side="right")
+        pos += shift[window] << 3
+        return pos, window
 
 
 def prime_pi_lucy(n: int) -> int:

@@ -9,8 +9,9 @@ enumeration is compared against.
 pi~ has one evaluator, `pi_approx_many`, over a 1-D array of x; the
 scalar `pi_approx` is a one-element call of it, and every element of a
 batch equals the scalar value bit for bit. The inversion objective takes
-a float (one bisection step) or an array (one scan grid, evaluated with
-one `pi_approx_many` call over the xs and N/xs together).
+a float (one bisection step of a `near=` scan) or an array (one scan grid,
+or one lockstep halving of the global bracket over every live level),
+evaluated with one `pi_approx_many` call over the xs and N/xs together.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import spectral
 from .ensemble import ensemble_arrays
 from .primes import PrimeEngine
-from .roots import grid_roots
+from .roots import bisect_lanes, grid_roots
 
 E_MAX_DEFAULT = 9.0 / 8.0
 _FIRST_ZERO = 14.134725
@@ -377,7 +378,7 @@ def inversion_objective(N: float, j: int, zeros: ZetaZerosTable, T: int) -> Call
 
     g takes a 1-D ndarray of x and gives the array of E, with one
     `pi_approx_many` call over the xs and the N/xs together; a float x
-    (a bisection step) takes two scalar `pi_approx` calls and gives a
+    (a `near=` bisection step) takes two scalar `pi_approx` calls and gives a
     float, equal to the array's element bit for bit. g does not depend on
     E, so one g serves every inversion at the same (N, j, T);
     `MemoObjective` shares its values across them.
@@ -398,10 +399,10 @@ class MemoObjective:
     """`inversion_objective` with every evaluated x kept, for one run.
 
     The bisections of one Monte-Carlo run all start from the same bracket,
-    so they revisit the same midpoints; a hit returns the stored float,
-    which is exactly what a fresh evaluation would return. Like g it takes
-    a float or an array; the misses of an array are evaluated as one batch,
-    and each x of it counts as one hit or one miss.
+    so they revisit the same midpoints, within one lockstep halving and
+    across halvings; a hit returns the stored float, which is exactly what
+    a fresh evaluation would return. It takes a 1-D array of x; the misses
+    are evaluated as one batch, and each x counts as one hit or one miss.
     """
 
     g: Callable
@@ -412,14 +413,7 @@ class MemoObjective:
     def misses(self) -> int:
         return len(self.values)
 
-    def __call__(self, x):
-        if not isinstance(x, np.ndarray):
-            v = self.values.get(x)
-            if v is None:
-                v = self.values[x] = self.g(x)
-            else:
-                self.hits += 1
-            return v
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         keys = x.tolist()
         new = [k for k in dict.fromkeys(keys) if k not in self.values]
         if new:
@@ -435,7 +429,6 @@ def invert_x_of_E(
     zeros: ZetaZerosTable,
     T: int,
     near: float | None = None,
-    objective: Callable | None = None,
 ) -> float:
     """Solve E = pi~(x) pi~(N/x) / j^2 for x by bracketed bisection.
 
@@ -444,39 +437,68 @@ def invert_x_of_E(
     locally non-monotone, which is why bisection (not Newton) is used --
     and why, at desk scale, the equation can have several roots spread
     over a few percent of x. The global bracket returns one of them
-    deterministically (the probabilistic sieve reading); passing `near`
-    scans 17 points of near*(1 +- 0.005), narrowed by thirds until a root
-    shows, and returns the root closest to `near`, to certify a known root.
-    Both go through `roots.grid_roots`: a sample where the objective is
-    exactly E is a root, and a sign change is bisected to a relative width
-    of INVERT_REL_TOL. Each scan grid is one array call of the objective;
-    only the bisection steps evaluate one x at a time. Raises BracketError
-    when no root shows. `objective`, if given, must equal
-    `inversion_objective(N, j, zeros, T)` (a memoized copy, say), arrays
-    included; it replaces the one built here.
+    deterministically (the probabilistic sieve reading); it is a one-E
+    call of `invert_global`. Passing `near` scans 17 points of
+    near*(1 +- 0.005), narrowed by thirds until a root shows, and returns
+    the root closest to `near`, to certify a known root; each scan grid is
+    one array call of the objective and goes through `roots.grid_roots`.
+    On both paths a sample where the objective is exactly E is a root, and
+    a sign change is bisected to a relative width of INVERT_REL_TOL.
+    Raises BracketError when no root shows.
     """
-    sqrt_n = math.sqrt(N)
-    g = objective if objective is not None else inversion_objective(N, j, zeros, T)
+    g = inversion_objective(N, j, zeros, T)
+    if near is None:
+        x, fs, _ = invert_global(np.array([E], dtype=float), N, g)
+        if math.isnan(x[0]):
+            lo, hi = _global_bracket(N).tolist()
+            f_lo, f_hi = fs[0].tolist()
+            raise BracketError(f"E = {E} not bracketed on [{lo:.6g}, {hi:.6g}] "
+                               f"(f = {f_lo:.3g}, {f_hi:.3g})")
+        return float(x[0])
 
     def f(x: float) -> float:
         return g(x) - E
 
     w = _NEAR_WINDOW
-    for _ in range(1 if near is None else 6):
-        if near is None:
-            xs = np.array([max(N ** 0.25, 2.01), sqrt_n])
-        else:
-            xs = np.linspace(near * (1.0 - w), min(near * (1.0 + w), sqrt_n), 17)
+    for _ in range(6):
+        xs = np.linspace(near * (1.0 - w), min(near * (1.0 + w), math.sqrt(N)), 17)
         xs, fs = xs.tolist(), (g(xs) - E).tolist()
         roots = grid_roots(f, xs, fs, rtol=INVERT_REL_TOL)
         if roots:
             # the eta oscillations can put a second root inside the window
-            return roots[0] if near is None else min(roots, key=lambda r: abs(r - near))
+            return min(roots, key=lambda r: abs(r - near))
         w /= 3.0
-    if near is None:
-        raise BracketError(f"E = {E} not bracketed on [{xs[0]:.6g}, {xs[1]:.6g}] "
-                           f"(f = {fs[0]:.3g}, {fs[1]:.3g})")
     raise BracketError(f"no sign change around {near:.6g} down to +-{w:.2g}")
+
+
+def _global_bracket(N: float) -> np.ndarray:
+    return np.array([max(N ** 0.25, 2.01), math.sqrt(N)])
+
+
+def invert_global(Es: np.ndarray, N: float, g: Callable) -> tuple[np.ndarray, ...]:
+    """x(E) on the global bracket [max(N^(1/4), 2.01), sqrt N] for every E
+    of a 1-D array, in lockstep: (x, f, capped).
+
+    g is `inversion_objective(N, j, zeros, T)` or a memoized copy of it.
+    Both ends are evaluated for every E in one call of g (a memo serves
+    all but the first pair), and f[i] = g(ends) - Es[i]. As `grid_roots`
+    does on two samples, an end where f is exactly 0.0 is the root, the
+    lower end first; a strict sign change is bisected to a relative width
+    of INVERT_REL_TOL; otherwise x[i] is NaN. The bisections run through
+    `roots.bisect_lanes`, each halving one call of g over the midpoints of
+    every live lane, so x[i] equals a lone `bisect_root` on E[i] bit for
+    bit. `capped` flags the lanes that ran out of halvings.
+    """
+    ends = _global_bracket(N)
+    f = g(np.tile(ends, Es.size)).reshape(Es.size, 2) - Es[:, None]
+    x = np.full(Es.size, np.nan)
+    x[f[:, 1] == 0.0] = ends[1]
+    x[f[:, 0] == 0.0] = ends[0]
+    capped = np.zeros(Es.size, dtype=bool)
+    lanes = np.flatnonzero(f[:, 0] * f[:, 1] < 0.0)
+    x[lanes], capped[lanes] = bisect_lanes(lambda mid, live: g(mid) - Es[lanes[live]],
+                                           ends[0], ends[1], f[lanes, 0], INVERT_REL_TOL)
+    return x, f, capped
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +526,18 @@ class MonteCarloResult:
     """Samples of one run plus deterministic counts of what it did.
 
     A gauge rejection drops a whole (draw, G) pair; a bracket miss drops
-    one level whose E the global bracket does not straddle. The memo
-    counts are evaluations of the inversion objective served from the
-    run's memo (hits) and computed afresh (misses).
+    one level whose E the global bracket does not straddle. A capped
+    bisection is a level whose bisection ran out of its 200 halvings; its
+    sample is kept, at the midpoint of the last bracket. The memo counts
+    are evaluations of the inversion objective served from the run's memo
+    (hits) and computed afresh (misses).
     """
 
     samples: list
     budget: int
     gauge_rejections: int
     bracket_misses: int
+    capped_bisections: int
     memo_hits: int
     memo_misses: int
 
@@ -537,15 +562,18 @@ def montecarlo_spectrum(
 
     Per-draw RNG substreams are derived from (seed, draw index), so any
     parallel split over draws (expressed through `first_draw` slices)
-    reproduces the serial output bit for bit. Every inversion shares one
-    memoized objective, which lives only for this call.
+    reproduces the serial output bit for bit. Every (draw, G, k, E) is
+    listed first, in that order; then all of them are inverted in
+    lockstep on the global bracket (`invert_global`), through one memoized
+    objective that lives only for this call. Each halving is one objective
+    call over the midpoints of every level still bisecting, and each x
+    equals a lone `invert_x_of_E(E, N, j, zeros, T)` bit for bit.
     """
     sqrt_n = math.sqrt(N)
     log_sqrt = math.log(sqrt_n)
     budget = mc.samples if mc.samples is not None else measurements_budget(N)
-    out = []
-    gauge_rejections = bracket_misses = 0
-    objective = MemoObjective(inversion_objective(float(N), j, zeros, mc.T))
+    levels = []
+    gauge_rejections = 0
     for i in range(first_draw, budget):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=mc.rng_seed, spawn_key=(i,)))
         xi = float(rng.uniform(-1.0, 1.0))
@@ -558,17 +586,15 @@ def montecarlo_spectrum(
                 gauge_rejections += 1
                 continue
             for k, E in energy_levels(gauge):
-                if E <= 1.0:
-                    E = 1.0 + 1e-12
-                try:
-                    x = invert_x_of_E(E, float(N), j, zeros, mc.T, objective=objective)
-                except BracketError:
-                    bracket_misses += 1
-                    continue
-                out.append(SpectrumSample(E=E, x=x, k=k, G=G, xi=xi))
+                levels.append((1.0 + 1e-12 if E <= 1.0 else E, k, G, xi))
+    objective = MemoObjective(inversion_objective(float(N), j, zeros, mc.T))
+    xs, _, capped = invert_global(np.array([lv[0] for lv in levels]), float(N), objective)
+    out = [SpectrumSample(E=E, x=x, k=k, G=G, xi=xi)
+           for (E, k, G, xi), x in zip(levels, xs.tolist()) if not math.isnan(x)]
     return MonteCarloResult(samples=out, budget=budget,
                             gauge_rejections=gauge_rejections,
-                            bracket_misses=bracket_misses,
+                            bracket_misses=len(levels) - len(out),
+                            capped_bisections=int(capped.sum()),
                             memo_hits=objective.hits, memo_misses=objective.misses)
 
 

@@ -1,21 +1,24 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_primes import ref_pi, ref_primes_between
 
 from factorsim.ensemble import (
     EnsembleEntry,
     EnsembleQuery,
     energy,
+    ensemble_arrays,
     ensemble_bounds,
     enumerate_ensemble,
     phase_coords,
     spectrum_points,
     sqrt_index,
 )
-from factorsim.primes import is_prime
+from factorsim.primes import _PAGE_ODDS, PrimeEngine, is_prime
 
 
 def brute_force_ensemble(j: int, engine) -> list:
@@ -74,6 +77,64 @@ def test_phase_coords_examples(engine):
     q, p = phase_coords(2, 13, 3, engine)
     assert (q, p) == (Fraction(7, 6), Fraction(5, 6))
     assert q * q - p * p == Fraction(2, 3)
+
+
+def ref_ensemble_arrays(j, x_lo, x_hi, engine):
+    """ensemble_arrays before its one-pass read: one window read and one pi
+    per prime x, through the old per-window bodies. Also returns how many
+    windows were empty and how many straddled a sieve page edge."""
+    n_lo, n_hi = ensemble_bounds(j, engine)
+    pj = math.isqrt(n_lo)
+    x_lo = max(2, x_lo or 2)
+    x_hi = min(pj, x_hi if x_hi is not None else pj)
+    empty = np.empty(0, dtype=np.int64)
+    if x_lo > x_hi:
+        return (empty, empty, empty, empty), 0, 0
+    engine.ensure_limit((n_hi - 1) // x_lo)
+    table = engine.table
+    xs = ref_primes_between(table, x_lo, x_hi)
+    pix0 = ref_pi(table, x_lo - 1)
+    cols = ([empty], [empty], [empty], [empty])
+    n_empty = n_straddle = 0
+    for i, x in enumerate(xs.tolist()):
+        y_start, y_end = max(x, -(-n_lo // x)), (n_hi - 1) // x
+        n_straddle += (y_start // 2) // _PAGE_ODDS < ((y_end - 1) // 2) // _PAGE_ODDS
+        ys = ref_primes_between(table, y_start, y_end)
+        if ys.size == 0:
+            n_empty += 1
+            continue
+        cols[0].append(np.full(ys.size, x, dtype=np.int64))
+        cols[1].append(ys)
+        cols[2].append(np.full(ys.size, pix0 + 1 + i, dtype=np.int64))
+        cols[3].append(ref_pi(table, y_start - 1) + 1 + np.arange(ys.size, dtype=np.int64))
+    x, y, pix, piy = (np.concatenate(c) for c in cols)
+    order = np.lexsort((x, x * y))
+    return (x[order], y[order], pix[order], piy[order]), n_empty, n_straddle
+
+
+def test_ensemble_arrays_match_per_x_loop():
+    """The one-pass read equals the per-x loop array for array: j = 1 (where
+    y = 2 occurs), small j, j = 1000 on a 4-page table, j = 971 whose y-window
+    of x = 7 crosses the first page edge, x_min/x_max windows, and windows
+    with no y."""
+    engine = PrimeEngine()
+    cases = [(1, None, None), (2, None, None), (3, None, None), (12, None, None),
+             (50, None, None), (12, 5, None), (12, None, 20), (50, 40, 200), (50, 200, 40),
+             (50, 230, None), (200, 7, 7), (1000, None, None), (1000, 3000, 3100),
+             (971, None, None), (971, 5, 11)]
+    n_empty = n_straddle = 0
+    for j, x_lo, x_hi in cases:
+        got = ensemble_arrays(j, x_lo, x_hi, engine)
+        want, empty, straddle = ref_ensemble_arrays(j, x_lo, x_hi, engine)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b), (j, x_lo, x_hi)
+        n_empty += empty
+        n_straddle += straddle
+        if j == 1:
+            assert got[1].min() == 2
+    assert len(engine.table.segments) == 4
+    assert n_empty > 0 and n_straddle > 0
 
 
 def test_enumerate_j3(engine):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from factorsim.primes import (
     _PAGE_ODDS,
+    _POPCOUNT8,
     PrimeEngine,
     PrimeRangeError,
     PrimeTable,
@@ -46,6 +47,47 @@ def naive_sieve_pi(limit: int) -> list:
 
 ORACLE_LIMIT = 50_000
 ORACLE_PI = naive_sieve_pi(ORACLE_LIMIT)
+
+
+def ref_pi(table: PrimeTable, x: int) -> int:
+    """PrimeTable.pi before it became a one-element call of `pi_many`, with
+    its inclusive per-word cumulative count built afresh."""
+    if x < 2:
+        return 0
+    idx = (x - 1) // 2 if x % 2 else (x - 2) // 2  # last odd <= x
+    k, off = divmod(idx, _PAGE_ODDS)
+    nbyte, nbit = divmod(off, 8)
+    word = nbyte >> 3
+    bits = _POPCOUNT8[table.segments[k]]
+    cum = np.cumsum(np.add.reduceat(bits, np.arange(0, bits.size, 8), dtype=np.uint32))
+    count = 1 + (int(cum[word - 1]) if word > 0 else 0)
+    head = table.segments[k][8 * word : nbyte + 1].tobytes()
+    count += bin(int.from_bytes(head, "big") >> (7 - nbit)).count("1")
+    if k > 0:
+        count += table.cached_counts[k - 1] - 1
+    return count
+
+
+def ref_primes_between(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
+    """PrimeTable.primes_between before it became a one-element call of
+    `primes_between_many`: the packed bytes of each page in turn."""
+    if hi < lo:
+        return np.empty(0, dtype=np.int64)
+    out = []
+    if lo <= 2 <= hi:
+        out.append(np.array([2], dtype=np.int64))
+    i_lo = max(lo, 0) // 2
+    i_hi = (hi - 1) // 2
+    for k in range(i_lo // _PAGE_ODDS, i_hi // _PAGE_ODDS + 1):
+        base = k * _PAGE_ODDS
+        off_lo = max(i_lo - base, 0)
+        off_hi = min(i_hi - base, _PAGE_ODDS - 1)
+        b_lo = off_lo >> 3
+        bits = np.unpackbits(table.segments[k][b_lo : (off_hi >> 3) + 1])
+        bits = bits[off_lo - 8 * b_lo : off_hi - 8 * b_lo + 1]
+        offs = np.nonzero(bits)[0].astype(np.int64)
+        out.append(2 * (base + off_lo + offs) + 1)
+    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
 def test_is_prime_examples():
@@ -148,8 +190,16 @@ def test_pi_word_counts_against_lucy():
         xs += [first_odd + d for d in (-17, -16, -2, -1, 0, 1, 2, 15, 16, 17)]
     rng = random.Random(9)
     xs += [rng.randint(2, table.limit) for _ in range(50)]
-    for x in xs:
-        assert table.pi(x) == prime_pi_lucy(x), x
+    lucy = [prime_pi_lucy(x) for x in xs]
+    for x, want in zip(xs, lucy):
+        assert table.pi(x) == ref_pi(table, x) == want, x
+    # the array pi, as one call over every x (both pages, any order)
+    got = table.pi_many(np.array(xs[::-1] + [-3, 0, 1, 2, 3]))
+    assert got.dtype == np.int64
+    assert got.tolist() == lucy[::-1] + [0, 0, 0, 1, 2]
+    assert table.pi_many(np.empty(0, dtype=np.int64)).size == 0
+    with pytest.raises(PrimeRangeError, match=rf"pi\({table.limit + 1}\) beyond"):
+        table.pi_many(np.array([5, table.limit + 1]))
 
 
 def test_nth_prime_across_pages():
@@ -192,6 +242,31 @@ def test_primes_between_matches_is_prime_oracle():
     assert bool(np.all(np.diff(whole) > 0))
     with pytest.raises(PrimeRangeError):
         table.primes_between(0, table.limit + 1)
+
+
+def test_primes_between_many_matches_reference():
+    """One read over many windows equals the old per-window read, window by
+    window: windows holding 2, empty and reversed windows, windows that
+    straddle the page edge, and overlapping windows in any order."""
+    page_edge = 2 * _PAGE_ODDS + 1
+    table = PrimeTable(page_edge + 100_000)
+    rng = random.Random(12)
+    windows = [(lo, lo + w) for lo in (-4, 0, 1, 2, 3) for w in (-1, 0, 1, 2, 9, 64)]
+    windows += [(page_edge - a, page_edge + b)
+                for a, b in ((0, 0), (2, 0), (1, 1), (17, 0), (0, 17), (4999, 5001))]
+    windows += [(lo, lo + rng.randint(-20, 3000))
+                for lo in (rng.randint(0, table.limit - 3000) for _ in range(60))]
+    windows += [(table.limit - 500, table.limit), (10, 9), (7, 7), (8, 8)]
+    rng.shuffle(windows)
+    lo, hi = (np.array(c, dtype=np.int64) for c in zip(*windows))
+    primes, counts = table.primes_between_many(lo, hi)
+    assert primes.dtype == np.int64 and counts.tolist().count(0) >= 8
+    ends = np.cumsum(counts)
+    for (a, b), start, end in zip(windows, ends - counts, ends):
+        assert primes[start:end].tolist() == ref_primes_between(table, a, b).tolist(), (a, b)
+    assert counts.size == len(windows) and ends[-1] == primes.size
+    none, counts = table.primes_between_many(np.empty(0, np.int64), np.empty(0, np.int64))
+    assert none.size == 0 and counts.size == 0
 
 
 def test_table_growth_and_contains():

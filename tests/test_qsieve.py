@@ -9,6 +9,7 @@ from factorsim.ensemble import EnsembleQuery, enumerate_ensemble
 from factorsim.primes import PrimeTable
 from factorsim.qsieve import (
     DEFAULT_G_GRID,
+    INVERT_REL_TOL,
     BracketError,
     DensityError,
     GaugeError,
@@ -26,6 +27,7 @@ from factorsim.qsieve import (
     qm_of_k,
     riemann_R,
 )
+from factorsim.roots import grid_roots
 
 mp.mp.dps = 30
 
@@ -337,7 +339,7 @@ def test_invert_symmetric_closed_loop(zeros):
     assert abs(x - p) / p <= 1e-6
 
 
-def test_invert_near_offset_round_trip(engine, zeros):
+def test_invert_near_offset_round_trip(engine, zeros, monkeypatch):
     """Criterion-8 round trips with `near` off the root by a seeded +-2% of
     the scan window: no grid sample lands on the root, so each inversion
     bisects (more objective evaluations than the 17 samples). The scan
@@ -347,24 +349,31 @@ def test_invert_near_offset_round_trip(engine, zeros):
     T, cases = 100, 60
     entries = enumerate_ensemble(EnsembleQuery(j=1000), engine)
     rng = np.random.default_rng(8)
+    objective = qsieve.inversion_objective
+    calls = []
+
+    def counting_objective(*args):
+        g = objective(*args)
+
+        def counted(y):  # a scan grid is one array call; count its points
+            calls.extend(np.atleast_1d(y).tolist())
+            return g(y)
+
+        return counted
+
+    monkeypatch.setattr(qsieve, "inversion_objective", counting_objective)
     tested = matched = 0
     for i in rng.permutation(len(entries)):
         e = entries[i]
         x = float(e.x)
         if e.x <= make_gauge(e.N, 0.0, engine, j=e.j).B_G:
             continue
-        g = qsieve.inversion_objective(float(e.N), e.j, zeros, T)
-        E = g(x)
+        E = objective(float(e.N), e.j, zeros, T)(x)
         if not (1.0 < E < 9.0 / 8.0):
             continue
-        calls = []
-
-        def counted(y):  # a scan grid is one array call; count its points
-            calls.extend(np.atleast_1d(y).tolist())
-            return g(y)
-
+        calls.clear()
         near = x * (1.0 + rng.uniform(-0.02, 0.02) * qsieve._NEAR_WINDOW)
-        xr = invert_x_of_E(E, float(e.N), e.j, zeros, T, near=near, objective=counted)
+        xr = invert_x_of_E(E, float(e.N), e.j, zeros, T, near=near)
         assert len(calls) > 17
         if abs(xr - x) / x <= 1e-6:
             matched += 1
@@ -374,6 +383,29 @@ def test_invert_near_offset_round_trip(engine, zeros):
         if tested == cases:
             break
     assert tested == cases and matched >= 0.95 * cases
+
+
+def test_invert_global_follows_the_grid_roots_rule():
+    """Per E, the lockstep inversion equals grid_roots on the bracket's two
+    ends: an end where the objective is exactly E is the root, the lower end
+    first; a sign change is bisected; no root leaves x NaN."""
+    N = 1e8
+    lo, hi = qsieve._global_bracket(N).tolist()
+
+    def line(x):
+        return 3.0 - x / hi
+
+    def hump(x):  # exactly 1.0 at both ends
+        return 1.0 + (x - lo) * (hi - x) / hi**2
+
+    for g, Es in ((line, [line(lo), 2.0, 2.5, 3.5, 1.0]), (hump, [1.0, 1.1, 0.5])):
+        x, f, capped = qsieve.invert_global(np.array(Es), N, g)
+        assert not capped.any()
+        for E, got in zip(Es, x.tolist()):
+            ref = grid_roots(lambda t: g(t) - E, [lo, hi], [g(lo) - E, g(hi) - E],
+                             rtol=INVERT_REL_TOL)
+            assert got == ref[0] if ref else math.isnan(got), E
+    assert x.tolist()[0] == lo
 
 
 def test_invert_fig1_point(zeros):
@@ -418,23 +450,22 @@ def test_montecarlo_failure_and_memo_counts(engine, zeros, monkeypatch):
     N, j = 10000019, 446  # small enough that both failure modes occur
     G_list = (0.0, 0.5, 3.0)  # G = 3 is rejected at every draw
     mc = MonteCarloConfig(samples=4, rng_seed=1, T=50)
-    evaluations = 0
+    evaluations = 0  # points asked of the run's memo, hits and misses
     pi_calls = 0  # points evaluated, not calls: a scan grid is one batch
-    invert, pi_many = qsieve.invert_x_of_E, qsieve.pi_approx_many
+    pi_many = qsieve.pi_approx_many
 
-    def counting_invert(*args, objective, **kwargs):
-        def counted(x):
+    class CountingMemo(qsieve.MemoObjective):
+        def __call__(self, x):
             nonlocal evaluations
             evaluations += np.size(x)
-            return objective(x)
-        return invert(*args, objective=counted, **kwargs)
+            return super().__call__(x)
 
     def counting_pi(xs, *args):
         nonlocal pi_calls
         pi_calls += np.size(xs)
         return pi_many(xs, *args)
 
-    monkeypatch.setattr(qsieve, "invert_x_of_E", counting_invert)
+    monkeypatch.setattr(qsieve, "MemoObjective", CountingMemo)
     monkeypatch.setattr(qsieve, "pi_approx_many", counting_pi)
     a = montecarlo_spectrum(N, j, G_list, mc, zeros, engine)
     assert a.gauge_rejections == 4 and a.bracket_misses > 0
@@ -501,3 +532,18 @@ def test_compare_densities_binning_mismatch(engine):
                     e_range=(0.5, 1.5), x_range=(2.0, 6.0))
     with pytest.raises(DensityError):
         compare_densities(a, b)
+
+
+def test_montecarlo_counts_capped_bisections(engine, zeros, monkeypatch):
+    """With no width tolerance no bisection can stop early: every level that
+    bisects runs all 200 halvings, is counted, and keeps its sample."""
+    N, j = 10000019, 446
+    mc = MonteCarloConfig(samples=2, rng_seed=1, T=50)
+    res = montecarlo_spectrum(N, j, (0.0, 0.5), mc, zeros, engine)
+    assert res.capped_bisections == 0 and res.samples
+    monkeypatch.setattr(qsieve, "INVERT_REL_TOL", 0.0)
+    capped = montecarlo_spectrum(N, j, (0.0, 0.5), mc, zeros, engine)
+    assert capped.capped_bisections == len(capped.samples) == len(res.samples)
+    assert capped.failed_inversions == res.failed_inversions
+    for a, b in zip(res.samples, capped.samples):
+        assert abs(a.x - b.x) <= INVERT_REL_TOL * a.x

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from factorsim.roots import bisect_root, grid_roots
+from factorsim.roots import bisect_lanes, bisect_root, grid_roots
 from factorsim.spectral import q_grid
 
 
@@ -167,3 +167,86 @@ def test_bisect_root_caps_at_200_halvings():
     r = bisect_root(f, 3.0, 4.0, 3.0 - math.pi)
     assert len(f.calls) == 200
     assert abs(r - math.pi) <= 4e-16
+
+
+def _lanes_both(fs, lo, hi, rtol):
+    """bisect_lanes on every lane and bisect_root on each alone; returns
+    (lockstep roots, capped, lone roots, per-lane lockstep calls, lone calls,
+    the midpoints of each lockstep call)."""
+    f_lo = [f(a) for f, a in zip(fs, lo)]
+    seen = [[] for _ in fs]
+    batches = []
+
+    def f_lanes(mids, lanes):
+        batches.append(mids.tolist())
+        out = []
+        for m, k in zip(mids.tolist(), lanes.tolist()):
+            seen[k].append(m)
+            out.append(fs[k](m))
+        return np.array(out)
+
+    roots, capped = bisect_lanes(f_lanes, np.array(lo), np.array(hi), np.array(f_lo), rtol)
+    lone, lone_calls = [], []
+    for f, a, b, fa in zip(fs, lo, hi, f_lo):
+        rec = Recorded(f)
+        lone.append(bisect_root(rec, a, b, fa, rtol=rtol))
+        lone_calls.append(rec.calls)
+    return roots.tolist(), capped.tolist(), lone, seen, lone_calls, batches
+
+
+def test_bisect_lanes_equals_bisect_root_at_different_depths():
+    # brackets of different widths stop after different numbers of halvings
+    fs = [lambda x, c=c: math.sin(x) - c for c in (0.1, -0.4, 0.7, 0.25)]
+    lo, hi = [0.0, 3.0, 0.5, 0.1], [1.5, 4.0, 1.5, 0.3]
+    for rtol in (1e-3, 1e-6, 1e-12):
+        roots, capped, lone, seen, lone_calls, batches = _lanes_both(fs, lo, hi, rtol)
+        assert roots == lone
+        assert seen == lone_calls
+        assert capped == [False] * 4
+        assert len({len(c) for c in seen}) > 1  # the lanes stop at different depths
+        assert len(batches) == max(len(c) for c in seen)  # one f call per halving
+
+
+def test_bisect_lanes_width_must_fall_strictly_below():
+    # on [0, 1] with rtol = 2 the widths 1 and 1/2 equal rtol*mid and are
+    # evaluated; [1/4, 1/2] stops
+    fs = [lambda x: x - 0.3, lambda x: x - 0.3]
+    roots, capped, lone, seen, lone_calls, _ = _lanes_both(fs, [0.0] * 2, [1.0] * 2, 2.0)
+    assert roots == lone == [0.375] * 2 and seen == lone_calls == [[0.5, 0.25]] * 2
+
+
+def test_bisect_lanes_exact_zero_at_midpoint():
+    # f is exactly 0.0 at the first midpoint: f_lo*f_mid <= 0 keeps [lo, mid]
+    fs = [lambda x: x - 0.5, lambda x: 0.5 - x, lambda x: x - 0.3]
+    roots, capped, lone, seen, lone_calls, _ = _lanes_both(fs, [0.0] * 3, [1.0] * 3, 1e-9)
+    assert seen[0][0] == 0.5 and fs[0](0.5) == 0.0
+    assert roots == lone and seen == lone_calls and capped == [False] * 3
+
+
+def test_bisect_lanes_shared_midpoints():
+    # equal brackets give equal midpoints in one call until the lanes part
+    fs = [lambda x: x - 0.3, lambda x: x - 0.31, lambda x: x - 0.7]
+    roots, capped, lone, seen, lone_calls, batches = _lanes_both(fs, [0.0] * 3, [1.0] * 3, 1e-9)
+    assert roots == lone and seen == lone_calls and capped == [False] * 3
+    assert batches[0] == [0.5, 0.5, 0.5]
+    assert any(len(set(b)) < len(b) for b in batches[1:])
+
+
+def test_bisect_lanes_reports_the_cap():
+    # a root at 0 approached from below makes every midpoint negative, so
+    # rtol*mid < 0 and the width never falls below it: that lane runs all
+    # 200 halvings, while the lane near 1.5 stops after 30
+    fs = [lambda x: x, lambda x: x - 1.5]
+    roots, capped, lone, seen, lone_calls, batches = _lanes_both(fs, [-1.0, 1.0], [1.0, 2.0], 1e-9)
+    assert roots == lone and seen == lone_calls
+    assert capped == [True, False]
+    assert len(seen[0]) == 200 and len(seen[1]) == 30 and len(batches) == 200
+
+
+def test_bisect_lanes_scalar_bracket_and_no_lanes():
+    # scalar lo and hi are shared by every lane; no lanes make no call of f
+    roots, capped = bisect_lanes(lambda m, k: m - 0.25, 0.0, 1.0, np.array([-0.25]), 1e-3)
+    assert roots.tolist() == [bisect_root(lambda x: x - 0.25, 0.0, 1.0, -0.25, rtol=1e-3)]
+    assert capped.tolist() == [False]
+    roots, capped = bisect_lanes(lambda m, k: 1 / 0, 0.0, 1.0, np.empty(0), 1.0)
+    assert roots.size == 0 and capped.size == 0
