@@ -7,7 +7,6 @@ from .ensemble import (  # noqa: F401
     EnsembleQuery,
     energy,
     enumerate_ensemble,
-    phase_coords,
     spectrum_points,
     sqrt_index,
 )
@@ -42,9 +41,6 @@ from .trap import (  # noqa: F401
     TrapPlan,
     encodable_N,
     flux_quanta,
-    frequency_condition,
-    magnetron_level,
-    measured_energy,
     plan_trap,
     size_to_axial,
     to_physical,

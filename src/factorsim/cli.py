@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import platform
 import sys
 
@@ -40,8 +39,6 @@ from .spectral import RESIDUAL_TOL, ZERO_XTOL, SolverError
 from .special import SpecialFunctionError
 from .trap import TrapPlanError
 
-ZEROS_ENV = "FACTORSIM_ZEROS"
-
 _TOLERANCES = {
     "quantization_residual": RESIDUAL_TOL,
     "bisection_rel_tol": INVERT_REL_TOL,
@@ -60,12 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_zeros(path: str | None) -> ZetaZerosTable:
-    if path:
-        return ZetaZerosTable.from_file(path)
-    env = os.environ.get(ZEROS_ENV)
-    if env:
-        return ZetaZerosTable.from_file(env)
-    return ZetaZerosTable.bundled()
+    return ZetaZerosTable.from_file(path) if path else ZetaZerosTable.bundled()
 
 
 def _write_text(path: str, text: str) -> None:
@@ -318,13 +310,7 @@ def _cmd_sieve(args, engine: PrimeEngine) -> int:
 
 def _cmd_trap(args) -> int:
     if args.sub == "plan":
-        particle = args.particle
-        if particle.startswith("ion:"):
-            name = particle.split(":", 1)[1]
-            if name not in trap.PARTICLES:
-                raise TrapPlanError(f"unknown ion preset {name!r}")
-            particle = name
-        plan = trap.plan_trap(args.N, args.G, args.rho_m * 1e-3, particle,
+        plan = trap.plan_trap(args.N, args.G, args.rho_m * 1e-3, args.particle,
                               zero_index=args.zero_index)
         p = plan.params
         out = {

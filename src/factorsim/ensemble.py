@@ -56,14 +56,6 @@ def energy(x: int, y: int, j: int, engine: PrimeEngine) -> Fraction:
     return Fraction(engine.pi(x) * engine.pi(y), j * j)
 
 
-def phase_coords(x: int, y: int, j: int, engine: PrimeEngine) -> tuple[Fraction, Fraction]:
-    """(q, p) with q^2 - p^2 = energy(x, y, j) exactly."""
-    if x > y:
-        raise ValueError("phase_coords requires x <= y")
-    pix, piy = engine.pi(x), engine.pi(y)
-    return Fraction(pix + piy, 2 * j), Fraction(piy - pix, 2 * j)
-
-
 def ensemble_bounds(j: int, engine: PrimeEngine) -> tuple[int, int]:
     """N-range [p_j^2, p_{j+1}^2) equivalent to pi(isqrt(N)) = j."""
     pj = engine.nth_prime(j)

@@ -153,18 +153,6 @@ class PrimeTable:
             np.cumsum(per_word, out=cache[k][1:])
         return cache[k]
 
-    def contains(self, n: int) -> bool:
-        if n > self.limit:
-            raise PrimeRangeError(f"{n} beyond table limit {self.limit}")
-        if n == 2:
-            return True
-        if n < 2 or n % 2 == 0:
-            return False
-        idx = (n - 1) // 2
-        k, off = divmod(idx, _PAGE_ODDS)
-        byte = self.segments[k][off >> 3]
-        return bool((byte >> (7 - (off & 7))) & 1)
-
     def pi(self, x: int) -> int:
         """Exact count of primes <= x; a one-element call of `pi_many`."""
         return int(self.pi_many(np.array([x], dtype=np.int64))[0])
@@ -314,7 +302,11 @@ def prime_pi_lucy(n: int) -> int:
 
 
 class PrimeEngine:
-    """Front door for prime queries, owning one lazily grown PrimeTable."""
+    """Front door for prime queries, owning one PrimeTable.
+
+    The table is sieved to 2*10^6 when the engine is built; `ensure_limit`
+    replaces it with one sieved to a larger limit when a query needs it.
+    """
 
     def __init__(self):
         self._table = PrimeTable(_ENGINE_SIEVE_LIMIT)

@@ -101,19 +101,14 @@ class GaugeConfig:
     chi: float
     lam: float
     k_m: float
-    E_max: float = E_MAX_DEFAULT
 
 
-def make_gauge(N, G: float, engine: PrimeEngine, j: int = 0,
-               snap_to_zero: bool = False) -> GaugeConfig:
+def make_gauge(N, G: float, engine: PrimeEngine, j: int = 0) -> GaugeConfig:
     """Populate a gauge: classical bound B_G, boundary q_G, chi, lambda, k_m.
 
     B_G is the prime closest to (3/8) N^(1/3) (log sqrt N)^G and
     q_G = N^(1/6) / (log sqrt N)^G. N may be a float (the Monte-Carlo
-    step feeds perturbed sqrt(N')^2 values). With
-    `snap_to_zero`, q_G moves to the nearest zero of the E = 1
-    wavefunction, making E = 1 an exact eigenvalue of the boundary
-    (that is what makes the gauge quantum number discrete).
+    step feeds perturbed sqrt(N')^2 values).
     """
     if N < 1e4:
         raise GaugeError("gauge needs N >= 1e4")
@@ -122,8 +117,6 @@ def make_gauge(N, G: float, engine: PrimeEngine, j: int = 0,
     log_sqrt = 0.5 * math.log(N)
     B_G = engine.nearest_prime(0.375 * N ** (1.0 / 3.0) * log_sqrt**G)
     q_G = N ** (1.0 / 6.0) / log_sqrt**G
-    if snap_to_zero:
-        q_G = spectral.nearest_zero(1.0, q_G)
     lam = q_G * q_G / math.sqrt(N)
     k_m = 1.5 * math.pi * log_sqrt ** (3.0 * G)
     if not B_G < math.sqrt(N) / 10.0:
@@ -144,12 +137,12 @@ def qm_of_k(gauge: GaugeConfig, k: int) -> float:
 
 
 def energy_levels(gauge: GaugeConfig) -> list[tuple[int, float]]:
-    """Levels E_k = 1 + (k/k_m)(2 pi / log q_G), k = 0..floor(k_m), E <= E_max."""
+    """Levels E_k = 1 + (k/k_m)(2 pi / log q_G), k = 0..floor(k_m), E <= E_MAX_DEFAULT."""
     spacing = 2.0 * math.pi / (gauge.k_m * math.log(gauge.q_G))
     out = []
     for k in range(int(gauge.k_m) + 1):
         E = 1.0 + k * spacing
-        if E > gauge.E_max:
+        if E > E_MAX_DEFAULT:
             break
         out.append((k, E))
     return out
@@ -357,6 +350,8 @@ def pi_approx_many(xs: np.ndarray, zeros: ZetaZerosTable, T: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if min(xs.tolist(), default=2.0) < 2.0:
         raise ValueError("pi_approx needs x >= 2")
+    if T < 0:
+        raise ValueError(f"T = {T} must be >= 0")
     if T > zeros.count:
         raise ValueError(f"T = {T} exceeds table size {zeros.count}")
     r = riemann_R(xs)
@@ -639,22 +634,19 @@ def density_map(
     engine: PrimeEngine,
     zeros: ZetaZerosTable | None = None,
     bins: tuple[int, int] = (40, 40),
-    e_range: tuple[float, float] | None = None,
-    x_range: tuple[float, float] | None = None,
-    G_list=DEFAULT_G_GRID,
     mc: MonteCarloConfig | None = None,
 ) -> DensityMap:
-    """Normalized 2D histogram over (E, x), identical binning across modes."""
-    if e_range is None:
-        e_range = (1.0, E_MAX_DEFAULT)
-    if x_range is None:
-        gauge = make_gauge(N, 0.0, engine, j=j)
-        x_range = (float(gauge.B_G), math.sqrt(N))
-    e_edges = np.linspace(e_range[0], e_range[1], bins[0] + 1)
-    x_edges = np.linspace(x_range[0], x_range[1], bins[1] + 1)
+    """Normalized 2D histogram over (E, x) on (1, E_MAX_DEFAULT) x (B_G, sqrt N).
+
+    B_G is the classical bound of the G = 0 gauge; both modes bin alike.
+    The quantum map samples the gauges of DEFAULT_G_GRID.
+    """
+    B_G = make_gauge(N, 0.0, engine, j=j).B_G
+    e_edges = np.linspace(1.0, E_MAX_DEFAULT, bins[0] + 1)
+    x_edges = np.linspace(float(B_G), math.sqrt(N), bins[1] + 1)
 
     if mode == "classical":
-        x, _, pix, piy = ensemble_arrays(j, int(x_range[0]), None, engine)
+        x, _, pix, piy = ensemble_arrays(j, B_G, None, engine)
         # both operands are exact doubles below 2^53, so each division is
         # the correctly rounded float(Fraction(pix * piy, j * j))
         es = (pix * piy) / float(j * j)
@@ -666,7 +658,7 @@ def density_map(
     if mode == "quantum":
         if zeros is None:
             raise DensityError("quantum mode needs a zeros table")
-        result = montecarlo_spectrum(N, j, G_list, mc or MonteCarloConfig(), zeros, engine)
+        result = montecarlo_spectrum(N, j, DEFAULT_G_GRID, mc or MonteCarloConfig(), zeros, engine)
         if not result.samples:
             raise DensityError("no successful inversions: cannot build a map")
         es = np.array([s.E for s in result.samples])

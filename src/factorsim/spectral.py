@@ -41,8 +41,6 @@ _FD_STEP = 1e-6  # central-difference step of dS/dE
 # which bisection of a zero stops
 _Q2_STEP = math.pi / 8
 ZERO_XTOL = 1e-12
-# half-width of the `nearest_zero` scan, in periods 2*pi of q^2
-_NEAR_ZERO_PERIODS = 3
 # samples of |1/S| per period 2*pi of rho in `extract_phi0`
 _PHI0_SAMPLES_PER_PERIOD = 40
 
@@ -139,17 +137,6 @@ def wavefunction_zeros(E: float, q_max: float) -> list[float]:
         return []
     zeros = _zeros_on_grid(E, q_grid(E + 1e-6, q_max * q_max))
     return [z for z in zeros if z > q0 and z <= q_max]
-
-
-def nearest_zero(E: float, q_center: float) -> float:
-    """The zero of Psi(.; E) closest to q_center (local scan in q^2)."""
-    half = _NEAR_ZERO_PERIODS * 2.0 * math.pi
-    u_c = q_center * q_center
-    qs = q_grid(max(E + 1e-6, u_c - half), u_c + half)
-    zeros = _zeros_on_grid(E, qs)
-    if not zeros:
-        raise SolverError(f"no wavefunction zero near q = {q_center}")
-    return min(zeros, key=lambda z: abs(z - q_center))
 
 
 def quantization_residual(E: float, q_m: float) -> complex:

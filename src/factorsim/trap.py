@@ -1,4 +1,4 @@
-"""Penning-trap realization: unit maps, magnetron spectrum, trap sizing.
+"""Penning-trap realization: unit maps, trap sizing and planning, trap psi.
 
 SI units throughout; the source expressions are Gaussian-flavored, so
 every cyclotron/spin formula here drops the 1/c (B in tesla). The
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import spectral
-from .qsieve import GaugeConfig, measurements_budget
+from .qsieve import measurements_budget
 from .roots import grid_roots
 from .special import kummer_F, kummer_U
 
@@ -27,6 +27,7 @@ G_PROTON = 5.5856946893
 FLUX_QUANTUM = PLANCK_H / (2.0 * E_CHARGE)  # Wb (h/2e)
 
 SQRT2 = math.sqrt(2.0)
+S_HAT = 0.5  # spin of both particle presets
 
 # least ratio omega_c/omega_z and omega_z/omega_m a plan accepts
 _HIERARCHY_MIN = 10.0
@@ -38,7 +39,6 @@ class Particle:
     name: str
     mass: float  # kg, single particle
     g: float
-    s_hat: float = 0.5
 
 
 PARTICLES = {
@@ -101,26 +101,6 @@ def to_dimensionless(rho: float, e_prime: float, params: TrapParameters) -> tupl
     return q, E
 
 
-def magnetron_level(k: int, params: TrapParameters) -> tuple[float, float]:
-    """(E' joules, E dimensionless) of magnetron level k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    e_prime = -HBAR * params.omega_m * (k + 0.5)
-    e_dimless = SQRT2 * (params.omega_z / params.omega_c_prime) * (k + 0.5)
-    return e_prime, e_dimless
-
-
-def frequency_condition(gauge: GaugeConfig) -> float:
-    """Required omega_z/omega_c' matching simulator and magnetron spacings."""
-    ratio = (1.0 / math.log(gauge.q_G)) * math.pi * SQRT2 / gauge.k_m
-    if ratio >= 1.0:
-        raise TrapPlanError(
-            f"omega_z/omega_c' = {ratio:.3g} >= 1: hierarchy unattainable "
-            "for this gauge"
-        )
-    return ratio
-
-
 def size_to_axial(rho_m: float, q_G: float, m_single: float = M_ELECTRON) -> float:
     """omega_z = hbar q_G^2 / (sqrt(2) m rho_m^2)."""
     if rho_m <= 0:
@@ -155,9 +135,9 @@ def encodable_N(
     omega_c_prime = ratio_wc_wz * omega_z
     omega_m = omega_z**2 / (2.0 * omega_c_prime)
     omega_c = math.sqrt(omega_c_prime**2 + omega_z**2 + omega_m**2)
-    B = particle.mass * omega_c / (particle.g * particle.s_hat * E_CHARGE)
+    B = particle.mass * omega_c / (particle.g * S_HAT * E_CHARGE)
     n_flux = flux_quanta(rho_m, B)
-    sqrt_n_flux = (q_G / lg) * (4.0 / 3.0) * particle.g * particle.s_hat * n_flux
+    sqrt_n_flux = (q_G / lg) * (4.0 / 3.0) * particle.g * S_HAT * n_flux
     gap = abs(sqrt_n_flux - sqrt_n) / sqrt_n
     return {
         "N": sqrt_n * sqrt_n,
@@ -176,19 +156,6 @@ def flux_quanta(rho_m: float, B: float) -> float:
     return math.pi * rho_m * rho_m * B / FLUX_QUANTUM
 
 
-def measured_energy(e_prime: float, L: int, params: TrapParameters) -> tuple[float, bool]:
-    """Dimensionless E = 2^{3/2} |E' - L g s (e hbar/m) B| / (hbar omega_z).
-
-    Returns (E, meaningful) with meaningful = E > 1.
-    """
-    if L not in (0, 1):
-        raise ValueError("L must be 0 or 1")
-    p = params.particle
-    spin_shift = L * p.g * p.s_hat * (E_CHARGE * HBAR / p.mass) * params.B
-    E = 2.0**1.5 * abs(e_prime - spin_shift) / (HBAR * params.omega_z)
-    return E, E > 1.0
-
-
 # ---------------------------------------------------------------------------
 # trap wavefunction and the zero-match against the exact simulator
 
@@ -198,9 +165,10 @@ def trap_beta(e_prime: float, params: TrapParameters) -> complex:
     return complex(0.5, -e_prime / (SQRT2 * HBAR * params.omega_z))
 
 
-def _trap_bracket(beta: complex, u2: float, c: complex) -> complex:
-    z = -1j * u2
-    return kummer_U(beta, 1.0, z) + c * kummer_F(beta, 1.0, z)
+def _trap_psi(beta: complex, u: float, c: complex) -> float:
+    """Re{ e^{i u^2/2} [U(beta,1,-iu^2) + c F(beta,1,-iu^2)] }."""
+    z = -1j * (u * u)
+    return (cmath.exp(0.5j * u * u) * (kummer_U(beta, 1.0, z) + c * kummer_F(beta, 1.0, z))).real
 
 
 def trap_boundary_constant(e_prime: float, params: TrapParameters) -> complex:
@@ -231,8 +199,7 @@ def trap_wavefunction(rho: float, e_prime: float, params: TrapParameters,
         # U(beta,1,z) ~ -log(z)/Gamma(beta) as z->0: psi diverges only
         # logarithmically, so rho*psi^2 -> 0 at the origin
         u = 1e-300
-    w = cmath.exp(0.5j * u * u) * _trap_bracket(beta, u * u, c)
-    return w.real
+    return _trap_psi(beta, u, c)
 
 
 def trap_wavefunction_zeros(E: float, q_lo: float, q_hi: float,
@@ -243,7 +210,7 @@ def trap_wavefunction_zeros(E: float, q_lo: float, q_hi: float,
     beta = trap_beta(e_prime, params)
 
     def f(q: float) -> float:
-        return (cmath.exp(0.5j * q * q) * _trap_bracket(beta, q * q, c)).real
+        return _trap_psi(beta, q, c)
 
     qs = spectral.q_grid(q_lo * q_lo, q_hi * q_hi)
     return grid_roots(f, qs, [f(q) for q in qs], spectral.ZERO_XTOL)
@@ -314,6 +281,8 @@ def plan_trap(
         if particle not in PARTICLES:
             raise TrapPlanError(f"unknown particle {particle!r}")
         particle = PARTICLES[particle]
+    if zero_index < 0:
+        raise TrapPlanError(f"zero index {zero_index} must be >= 0")
     zeros = spectral.wavefunction_zeros(1.0, 3.0 + 1.2 * (zero_index + 1))
     if zero_index >= len(zeros):
         raise TrapPlanError(f"zero index {zero_index} beyond computed zeros")
@@ -325,7 +294,7 @@ def plan_trap(
     omega_c_prime = ratio * omega_z
     omega_m = omega_z**2 / (2.0 * omega_c_prime)
     omega_c = math.sqrt(omega_c_prime**2 + omega_z**2 + omega_m**2)
-    B = particle.mass * omega_c / (particle.g * particle.s_hat * E_CHARGE)
+    B = particle.mass * omega_c / (particle.g * S_HAT * E_CHARGE)
     if B > _B_MAX:
         raise TrapPlanError(
             f"required field B = {B:.3g} T exceeds B_max = {_B_MAX} T "

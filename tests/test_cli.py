@@ -32,6 +32,10 @@ def test_domain_error_exit_2(capsys):
     code, _, err = _run(capsys, "trap", "plan", "--N", "1e26")
     assert code == 2
     assert "domain" in err
+    for argv in (["trap", "plan", "--N", "1e10", "--zero-index", "-1"],
+                 ["sieve", "invert", "--E", "1.0044", "--N", "10969262131", "--T", "-5"]):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "") and json.loads(err)["error"] == "domain"
 
 
 def test_ensemble_csv_and_manifest(tmp_path, capsys):

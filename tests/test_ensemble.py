@@ -14,7 +14,6 @@ from factorsim.ensemble import (
     ensemble_arrays,
     ensemble_bounds,
     enumerate_ensemble,
-    phase_coords,
     spectrum_points,
     sqrt_index,
 )
@@ -70,13 +69,6 @@ def test_energy_examples(engine):
 def test_energy_rejects_composite(engine):
     with pytest.raises(ValueError):
         energy(4, 13, 3, engine)
-
-
-def test_phase_coords_examples(engine):
-    assert phase_coords(5, 5, 3, engine) == (Fraction(1), Fraction(0))
-    q, p = phase_coords(2, 13, 3, engine)
-    assert (q, p) == (Fraction(7, 6), Fraction(5, 6))
-    assert q * q - p * p == Fraction(2, 3)
 
 
 def ref_ensemble_arrays(j, x_lo, x_hi, engine):
@@ -141,6 +133,11 @@ def test_enumerate_j3(engine):
     entries = enumerate_ensemble(EnsembleQuery(j=3), engine)
     assert [e.N for e in entries] == [25, 26, 33, 34, 35, 38, 39, 46]
     assert [(e.x, e.y, e.N) for e in entries] == brute_force_ensemble(3, engine)
+    phase = {(e.x, e.y): (e.q, e.p) for e in entries}
+    assert phase[5, 5] == (Fraction(1), Fraction(0))
+    q, p = phase[2, 13]
+    assert (q, p) == (Fraction(7, 6), Fraction(5, 6))
+    assert q * q - p * p == Fraction(2, 3)
 
 
 def test_enumerate_j3_window(engine):

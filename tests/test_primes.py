@@ -269,9 +269,11 @@ def test_primes_between_many_matches_reference():
     assert none.size == 0 and counts.size == 0
 
 
-def test_table_growth_and_contains():
-    t = PrimeTable(10_000)
-    assert t.contains(9973)
-    assert not t.contains(9999)
-    with pytest.raises(PrimeRangeError):
-        t.pi(20_000)
+def test_engine_table_built_at_construction():
+    engine = PrimeEngine()
+    table = engine.table
+    assert table.limit == 2_000_000 and len(table.segments) == 1
+    engine.ensure_limit(1_000_000)
+    assert engine.table is table
+    assert engine.pi(2_000_003) == 148_934  # pi(2_000_003) = pi(2*10^6) + 1
+    assert engine.table.limit == 2_000_003 and engine.table is not table

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from factorsim import qsieve
+from factorsim import qsieve, spectral
 from factorsim.ensemble import EnsembleQuery, enumerate_ensemble
 from factorsim.primes import PrimeTable
 from factorsim.qsieve import (
     DEFAULT_G_GRID,
+    E_MAX_DEFAULT,
     INVERT_REL_TOL,
     BracketError,
     DensityError,
@@ -50,7 +52,6 @@ def test_make_gauge_examples(engine):
     g2 = make_gauge(N_FIG1, 0.0, engine)
     # B_G = nearest prime to 3/8 N^(1/3), fixed by the neighbor-scan oracle
     assert g2.B_G == 829
-    assert g2.E_max == pytest.approx(9.0 / 8.0)
 
 
 def test_gauge_chi_identity(engine):
@@ -90,7 +91,7 @@ def test_energy_levels(engine):
     assert levels[0] == (0, 1.0)
     es = [e for _, e in levels]
     assert all(b > a for a, b in zip(es, es[1:]))
-    assert all(e <= g.E_max for e in es)
+    assert all(e <= E_MAX_DEFAULT == 9.0 / 8.0 for e in es)
     spacing = 2.0 * math.pi / (g.k_m * math.log(g.q_G))
     for k, e in levels:
         assert e == pytest.approx(1.0 + k * spacing)
@@ -99,7 +100,14 @@ def test_energy_levels(engine):
 
 
 def test_exact_levels_match_eq13_for_snapped_gauge(engine):
-    g = make_gauge(N_FIG1, 0.2, engine, j=10000, snap_to_zero=True)
+    """With q_G moved onto the nearest zero of the E = 1 wavefunction, E = 1
+    is an exact level of the boundary and the ladder follows eq. 13."""
+    g = make_gauge(N_FIG1, 0.2, engine, j=10000)
+    u_c = g.q_G * g.q_G
+    zs = spectral._zeros_on_grid(1.0, spectral.q_grid(u_c - 6.0 * math.pi, u_c + 6.0 * math.pi))
+    q_G = min(zs, key=lambda z: abs(z - g.q_G))
+    g = dataclasses.replace(g, q_G=q_G, chi=-q_G * q_G + math.log(q_G),
+                            lam=q_G * q_G / math.sqrt(N_FIG1))
     exact = exact_energy_levels(g, k_max=5)
     eq13 = dict(energy_levels(g))
     spacing = 2.0 * math.pi / (g.k_m * math.log(g.q_G))
@@ -174,6 +182,8 @@ def test_pi_approx_guards(zeros):
         pi_approx(1.5, zeros, 0)
     with pytest.raises(ValueError):
         pi_approx(100.0, zeros, zeros.count + 1)
+    with pytest.raises(ValueError, match="T = -5 must be >= 0"):
+        pi_approx(100.0, zeros, -5)
 
 
 # The scalar explicit-formula path as it stood before the array evaluator,
@@ -497,9 +507,19 @@ def test_density_map_classical_matches_exact_rationals(engine):
     assert np.array_equal(dm.mass, h / h.sum())
 
 
+def j3_map(engine, n_bins):
+    """The classical j = 3 map on (0.5, 1.5) x (2, 6), binned as density_map
+    bins; density_map itself starts its x window at a gauge's B_G, and a
+    gauge needs N >= 1e4."""
+    entries = enumerate_ensemble(EnsembleQuery(j=3), engine)
+    return qsieve._histogram2d([float(e.E) for e in entries], [float(e.x) for e in entries],
+                               np.linspace(0.5, 1.5, n_bins + 1),
+                               np.linspace(2.0, 6.0, n_bins + 1), "classical")
+
+
 def test_density_map_classical_j3(engine):
-    dm = density_map(26, 3, "classical", engine, bins=(6, 6),
-                     e_range=(0.5, 1.5), x_range=(2.0, 6.0))
+    dm = j3_map(engine, 6)
+    assert dm.points == 8
     assert dm.mass.sum() == pytest.approx(1.0)
 
 
@@ -509,8 +529,7 @@ def test_density_map_quantum_needs_zeros(engine):
 
 
 def test_compare_densities_identity_and_disjoint(engine):
-    dm = density_map(26, 3, "classical", engine, bins=(5, 5),
-                     e_range=(0.5, 1.5), x_range=(2.0, 6.0))
+    dm = j3_map(engine, 5)
     m = compare_densities(dm, dm)
     assert m["rank_correlation"] == pytest.approx(1.0)
     assert m["jensen_shannon"] == pytest.approx(0.0, abs=1e-12)
@@ -526,10 +545,7 @@ def test_compare_densities_identity_and_disjoint(engine):
 
 
 def test_compare_densities_binning_mismatch(engine):
-    a = density_map(26, 3, "classical", engine, bins=(5, 5),
-                    e_range=(0.5, 1.5), x_range=(2.0, 6.0))
-    b = density_map(26, 3, "classical", engine, bins=(4, 4),
-                    e_range=(0.5, 1.5), x_range=(2.0, 6.0))
+    a, b = j3_map(engine, 5), j3_map(engine, 4)
     with pytest.raises(DensityError):
         compare_densities(a, b)
 

@@ -13,7 +13,6 @@ from factorsim.spectral import (
     alpha_of,
     epsilon_asymptotic,
     extract_phi0,
-    nearest_zero,
     quantization_residual,
     solve_d,
     solve_energy,
@@ -200,9 +199,4 @@ def test_envelope_has_sec_poles():
 
     vals = [_envelope_ratio(r) for r in [float(x) for x in range(200, 300)]]
     assert max(vals) > 5.0 * min(vals)
-
-
-def test_nearest_zero_matches_zero_list():
-    zs = wavefunction_zeros(1.0, 6.0)
-    assert abs(nearest_zero(1.0, 3.9) - min(zs, key=lambda z: abs(z - 3.9))) < 1e-9
 

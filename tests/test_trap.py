@@ -2,10 +2,7 @@ import math
 
 import pytest
 
-from factorsim.primes import PrimeEngine
-from factorsim.qsieve import make_gauge
 from factorsim.trap import (
-    E_CHARGE,
     FLUX_QUANTUM,
     HBAR,
     M_ELECTRON,
@@ -16,10 +13,7 @@ from factorsim.trap import (
     axial_to_size,
     encodable_N,
     flux_quanta,
-    frequency_condition,
     length_scale,
-    magnetron_level,
-    measured_energy,
     plan_trap,
     size_to_axial,
     to_dimensionless,
@@ -55,46 +49,6 @@ def test_unit_map_roundtrip(plan):
         assert abs(e2 - E) <= 1e-12 * max(E, 1.0)
 
 
-def test_magnetron_levels(plan):
-    p = plan.params
-    e0, d0 = magnetron_level(0, p)
-    assert e0 == pytest.approx(-HBAR * p.omega_m / 2.0)
-    for k in range(4):
-        ek, dk = magnetron_level(k, p)
-        ek1, dk1 = magnetron_level(k + 1, p)
-        assert ek1 - ek == pytest.approx(-HBAR * p.omega_m)
-        assert dk == pytest.approx(SQRT2 * (p.omega_z / p.omega_c_prime) * (k + 0.5))
-        # dimensionless form consistent with the unit map through
-        # omega_m ~ omega_z^2/(2 omega_c')
-        _, from_map = to_dimensionless(0.0, ek, p)
-        assert abs(abs(from_map) - dk) <= 0.01 * dk
-
-
-def test_frequency_condition(engine):
-    # G = 0 at N ~ 1e20: ratio = (2 sqrt(2)/3)/log(N^(1/6)), frozen value
-    g = make_gauge(10**20, 0.0, engine)
-    ratio = frequency_condition(g)
-    assert ratio == pytest.approx(0.12284, abs=1e-4)
-    # the ~1e-3 operating scale appears near G = 0.5 for N ~ 1e20
-    g5 = make_gauge(10**20, 0.5, engine)
-    assert 5e-4 < frequency_condition(g5) < 5e-3
-    # simulator level spacing equals magnetron spacing under this ratio
-    spacing_sim = 2.0 * math.pi / (g.k_m * math.log(g.q_G))
-    spacing_trap = SQRT2 * ratio
-    assert spacing_sim == pytest.approx(spacing_trap, rel=1e-12)
-
-
-def test_frequency_condition_unphysical():
-    import dataclasses
-
-    from factorsim.qsieve import GaugeConfig
-
-    g = GaugeConfig(N=1e12, j=0, G=0.0, B_G=101, q_G=math.e,
-                    chi=0.0, lam=0.01, k_m=math.pi * SQRT2)
-    with pytest.raises(TrapPlanError):
-        frequency_condition(g)
-
-
 def test_size_to_axial_scaling_and_roundtrip():
     w1 = size_to_axial(3e-3, 50.0)
     w2 = size_to_axial(3e-3, 100.0)
@@ -127,23 +81,6 @@ def test_flux_quanta():
     # physical-constants oracle: h/2e = 2.067833848e-15 Wb (CODATA)
     assert FLUX_QUANTUM == pytest.approx(2.067833848e-15, rel=1e-9)
     assert n == pytest.approx(1.3672e10, rel=1e-3)
-
-
-def test_measured_energy(plan):
-    p = plan.params
-    ep = -HBAR * p.omega_z / 2.0**1.5
-    E, meaningful = measured_energy(ep, 0, p)
-    assert E == pytest.approx(1.0)
-    assert not meaningful  # boundary of meaningfulness
-    E2, m2 = measured_energy(2.0 * ep, 0, p)
-    assert E2 == pytest.approx(2.0) and m2
-    # s- and p-wave towers differ by a constant offset
-    shift = p.particle.g * p.particle.s_hat * (E_CHARGE * HBAR / p.particle.mass) * p.B
-    for scale in [1.0, 2.0, 3.0]:
-        e_s, _ = measured_energy(scale * ep, 0, p)
-        e_p, _ = measured_energy(scale * ep, 1, p)
-        expect = 2.0**1.5 * abs(scale * ep - shift) / (HBAR * p.omega_z)
-        assert e_p == pytest.approx(expect)
 
 
 def test_trap_boundary_zero(plan):
@@ -212,6 +149,8 @@ def test_plan_rejections():
     assert "omega" in str(err.value)
     with pytest.raises(TrapPlanError):
         plan_trap(N_FIG1, 0.0, 3e-3, "unobtainium")
+    with pytest.raises(TrapPlanError, match="zero index -1 must be >= 0"):
+        plan_trap(N_FIG1, 0.0, 3e-3, "electron", zero_index=-1)
 
 
 def test_plan_proton_particle():

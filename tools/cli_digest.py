@@ -37,7 +37,7 @@ RUNS = [
                           "--N", "1e12", "--out", "zm.csv"]),
     ("plan-desk", ["trap", "plan", "--N", N_DESK]),
     ("plan-proton", ["trap", "plan", "--N", "1e12", "--G", "0.2", "--rho-m", "2",
-                     "--particle", "ion:proton", "--zero-index", "1"]),
+                     "--particle", "proton", "--zero-index", "1"]),
     ("solve-20", ["spectrum", "solve", "--qm", "20", "--guess", "1.0"]),
     ("solve-46.6", ["spectrum", "solve", "--qm", "46.6", "--guess", "1.0"]),
     ("zeros", ["spectrum", "zeros", "--E", "1", "--qmax", "12"]),
@@ -52,6 +52,8 @@ RUNS = [
     ("ensemble-50-window", ["ensemble", "enumerate", "--j", "50", "--x-min", "40",
                             "--x-max", "200", "--out", "ens.csv"]),
     ("primes-nth", ["primes", "nth", "700000"]),
+    ("primes-pi", ["primes", "pi", "1000000"]),
+    ("primes-nearest", ["primes", "nearest", "1000000.5"]),
 ]
 
 
