@@ -133,6 +133,10 @@ def test_enumerate_j3(engine):
     entries = enumerate_ensemble(EnsembleQuery(j=3), engine)
     assert [e.N for e in entries] == [25, 26, 33, 34, 35, 38, 39, 46]
     assert [(e.x, e.y, e.N) for e in entries] == brute_force_ensemble(3, engine)
+
+
+def test_phase_coords_examples(engine):
+    entries = enumerate_ensemble(EnsembleQuery(j=3), engine)
     phase = {(e.x, e.y): (e.q, e.p) for e in entries}
     assert phase[5, 5] == (Fraction(1), Fraction(0))
     q, p = phase[2, 13]
