@@ -391,15 +391,15 @@ def _cmd_zero_match(args, command: str, q_lo: float, q_hi: float, inputs: dict) 
     _write_text(args.out, _csv(rows, ["q_exact_zero", "q_trap_zero", "gap"]))
     _write_manifest(args.out, command, inputs)
     if getattr(args, "svg", False):
-        d = spectral.solve_d(args.E)
         qs = [1.0 + i * 0.01 for i in range(701)]
-        exact = [(q, q * abs(spectral.wavefunction(q, args.E, d)) ** 2 / q ** 2)
-                 for q in qs]
+        psi = spectral.wavefunction_many(np.array(qs), args.E, spectral.solve_d(args.E))
+        exact = [(q, q * m ** 2 / q ** 2)
+                 for q, m in zip(qs, np.hypot(psi.real, psi.imag).tolist())]
         _, e_prime = trap.to_physical(0.0, args.E, plan.params)
         c = trap.trap_boundary_constant(e_prime, plan.params)
         lam = trap.length_scale(plan.params)
-        traps = [(q, q * trap.trap_wavefunction(q * lam, e_prime, plan.params, c) ** 2)
-                 for q in qs]
+        psi = trap.trap_wavefunction_many(np.array(qs) * lam, e_prime, plan.params, c)
+        traps = [(q, q * v ** 2) for q, v in zip(qs, psi.tolist())]
         peak_e = max(v for _, v in exact) or 1.0
         peak_t = max(v for _, v in traps) or 1.0
         svg = svgplot.curves_svg([

@@ -9,9 +9,9 @@ enumeration is compared against.
 pi~ has one evaluator, `pi_approx_many`, over a 1-D array of x; the
 scalar `pi_approx` is a one-element call of it, and every element of a
 batch equals the scalar value bit for bit. The inversion objective takes
-a float (one bisection step of a `near=` scan) or an array (one scan grid,
-or one lockstep halving of the global bracket over every live level),
-evaluated with one `pi_approx_many` call over the xs and N/xs together.
+an array (one scan grid, or one lockstep halving over every live
+bracket), evaluated with one `pi_approx_many` call over the xs and N/xs
+together.
 """
 
 from __future__ import annotations
@@ -372,17 +372,13 @@ def inversion_objective(N: float, j: int, zeros: ZetaZerosTable, T: int) -> Call
     """g(x) = pi~(x) pi~(N/x) / j^2, the E that x(E) inversion inverts.
 
     g takes a 1-D ndarray of x and gives the array of E, with one
-    `pi_approx_many` call over the xs and the N/xs together; a float x
-    (a `near=` bisection step) takes two scalar `pi_approx` calls and gives a
-    float, equal to the array's element bit for bit. g does not depend on
-    E, so one g serves every inversion at the same (N, j, T);
+    `pi_approx_many` call over the xs and the N/xs together. g does not
+    depend on E, so one g serves every inversion at the same (N, j, T);
     `MemoObjective` shares its values across them.
     """
     j2 = float(j) * float(j)
 
-    def g(x):
-        if not isinstance(x, np.ndarray):
-            return pi_approx(x, zeros, T) * pi_approx(N / x, zeros, T) / j2
+    def g(x: np.ndarray) -> np.ndarray:
         p = pi_approx_many(np.concatenate((x, N / x)), zeros, T)
         return p[:x.size] * p[x.size:] / j2
 
@@ -451,14 +447,13 @@ def invert_x_of_E(
                                f"(f = {f_lo:.3g}, {f_hi:.3g})")
         return float(x[0])
 
-    def f(x: float) -> float:
+    def f(x: np.ndarray) -> np.ndarray:
         return g(x) - E
 
     w = _NEAR_WINDOW
     for _ in range(6):
         xs = np.linspace(near * (1.0 - w), min(near * (1.0 + w), math.sqrt(N)), 17)
-        xs, fs = xs.tolist(), (g(xs) - E).tolist()
-        roots = grid_roots(f, xs, fs, rtol=INVERT_REL_TOL)
+        roots = grid_roots(f, xs, f(xs), rtol=INVERT_REL_TOL)
         if roots:
             # the eta oscillations can put a second root inside the window
             return min(roots, key=lambda r: abs(r - near))
@@ -481,8 +476,8 @@ def invert_global(Es: np.ndarray, N: float, g: Callable) -> tuple[np.ndarray, ..
     lower end first; a strict sign change is bisected to a relative width
     of INVERT_REL_TOL; otherwise x[i] is NaN. The bisections run through
     `roots.bisect_lanes`, each halving one call of g over the midpoints of
-    every live lane, so x[i] equals a lone `bisect_root` on E[i] bit for
-    bit. `capped` flags the lanes that ran out of halvings.
+    every live lane, so x[i] equals a lone bisection of E[i] bit for bit.
+    `capped` flags the lanes that ran out of halvings.
     """
     ends = _global_bracket(N)
     f = g(np.tile(ends, Es.size)).reshape(Es.size, 2) - Es[:, None]
@@ -492,7 +487,7 @@ def invert_global(Es: np.ndarray, N: float, g: Callable) -> tuple[np.ndarray, ..
     capped = np.zeros(Es.size, dtype=bool)
     lanes = np.flatnonzero(f[:, 0] * f[:, 1] < 0.0)
     x[lanes], capped[lanes] = bisect_lanes(lambda mid, live: g(mid) - Es[lanes[live]],
-                                           ends[0], ends[1], f[lanes, 0], INVERT_REL_TOL)
+                                           ends[0], ends[1], f[lanes, 0], rtol=INVERT_REL_TOL)
     return x, f, capped
 
 
@@ -567,6 +562,8 @@ def montecarlo_spectrum(
     sqrt_n = math.sqrt(N)
     log_sqrt = math.log(sqrt_n)
     budget = mc.samples if mc.samples is not None else measurements_budget(N)
+    if budget < 0:
+        raise ValueError(f"samples = {budget} must be >= 0")
     levels = []
     gauge_rejections = 0
     for i in range(first_draw, budget):

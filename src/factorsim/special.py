@@ -13,6 +13,11 @@ later term can move it, so the result is the same float as the full
 optimally truncated sum. The tanh-sinh integral is one NumPy pass whose
 cumulative sum adds the nodes in the order of the scalar running sum.
 
+These are the point evaluators (the Newton solver, the matching point,
+boundary constants). A scan at fixed (a, b) goes through
+`kummer.KummerFamily`, which runs these same algorithms on a whole array
+of z and returns floats equal to these, bit for bit.
+
 Regime radii were calibrated against an arbitrary-precision oracle:
 the double-precision power series keeps ~1e-11 relative accuracy to
 |z| ~ 12 and degrades fast beyond (cancellation on the imaginary axis),
@@ -128,21 +133,37 @@ def _ts_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return _ts_cache
 
 
-def _hyp_integral(a: complex, b: complex, z: complex) -> complex:
-    """Euler integral for F, tanh-sinh quadrature; needs Re b > Re a > 0.
+def _ts_weights(a: complex, b: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) terms (a-1) log t and (b-a-1) log(1-t) of the Euler exponent."""
+    _, log_t, log_1mt, _ = _ts_nodes()
+    return (a - 1.0) * log_t, (b - a - 1.0) * log_1mt
+
+
+def _ts_sum(z: complex, weights: tuple[np.ndarray, np.ndarray]) -> complex:
+    """The tanh-sinh sum of the Euler integrand at one z, before its Gamma factor.
 
     One array pass over the nodes; cumsum adds them in node order, so
     the total is the same float as a running sum.
     """
+    t, _, _, log_dt = _ts_nodes()
+    w_a, w_b = weights
+    # z*t + w_a + w_b + log_dt, added in place in that order
+    expo = z * t
+    expo += w_a
+    expo += w_b
+    expo += log_dt
+    total = complex(np.cumsum(np.exp(expo, out=expo))[-1])
+    total *= 2.0 ** -_TS_LEVEL
+    return total
+
+
+def _hyp_integral(a: complex, b: complex, z: complex) -> complex:
+    """Euler integral for F, tanh-sinh quadrature; needs Re b > Re a > 0."""
     if not (b.real > a.real > 0.0):
         raise SpecialFunctionError(
             f"integral representation needs Re b > Re a > 0, got a={a}, b={b}"
         )
-    t, log_t, log_1mt, log_dt = _ts_nodes()
-    expo = z * t + (a - 1.0) * log_t + (b - a - 1.0) * log_1mt + log_dt
-    total = complex(np.cumsum(np.exp(expo))[-1])
-    total *= 2.0 ** -_TS_LEVEL
-    return total * cgamma(b) / (cgamma(a) * cgamma(b - a))
+    return _ts_sum(z, _ts_weights(a, b)) * cgamma(b) / (cgamma(a) * cgamma(b - a))
 
 
 def _asymptotic_sum(a: complex, c: complex, invz: complex) -> complex:

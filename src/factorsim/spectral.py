@@ -6,6 +6,10 @@ the outer wall at q_m then quantizes E through the ratio condition
 S(E, q_m) = 1. Because any solution vanishing at sqrt(E) is a complex
 multiple of a real one, zero finding and root solving work on a
 phase-anchored real projection.
+
+Every scan (the zero grids, their lockstep bisections and the phi0 grid)
+is one `KummerFamily` pass over an array of z at fixed E; the Newton
+solver and the matching point use the scalar `kummer_F` / `kummer_U`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .roots import grid_roots
+from .kummer import KummerFamily, cdiv, cmul, cquot, each, pack
 from .special import kummer_F, kummer_U
 
 B32 = 1.5
@@ -88,15 +95,27 @@ def _d_of(E: float, inner: tuple[complex, complex]) -> complex:
 
 
 def wavefunction(q: float, E: float, d: complex) -> complex:
-    """Psi(q); the q prefactor guarantees Psi(0) = 0 exactly."""
-    if q < 0:
+    """Psi(q); a one-element call of `wavefunction_many`."""
+    return complex(wavefunction_many(np.array([q], dtype=float), E, d)[0])
+
+
+def wavefunction_many(qs: np.ndarray, E: float, d: complex) -> np.ndarray:
+    """Psi at every q of a 1-D array: q e^{-i q^2/2} {F + d U}(a, 3/2, i q^2),
+    in CPython's complex arithmetic; the q prefactor makes Psi(0) = 0 exactly."""
+    qs = np.asarray(qs, dtype=float)
+    samples = np.arange(qs.size)
+    if samples[qs < 0.0].size:
         raise ValueError("q must be >= 0")
-    if q == 0.0:
-        return 0.0 + 0.0j
-    a = alpha_of(E)
-    z = 1j * q * q
-    bracket = kummer_F(a, B32, z) + d * kummer_U(a, B32, z)
-    return q * cmath.exp(-0.5j * q * q) * bracket
+    psi = np.zeros(qs.size, dtype=complex)
+    on = samples[qs != 0.0]
+    q = qs[on]
+    z = cmul(*cmul(0.0, 1.0, q, 0.0), q, 0.0)  # 1j * q * q
+    f, u = KummerFamily(alpha_of(E), B32).FU(pack(*z))
+    du = cmul(d.real, d.imag, u.real, u.imag)
+    w = -0.5j
+    phase = each(cmath.exp, *cmul(*cmul(w.real, w.imag, q, 0.0), q, 0.0))
+    psi[on] = pack(*cmul(*cmul(q, 0.0, *phase), f.real + du[0], f.imag + du[1]))
+    return psi
 
 
 def q_grid(u_lo: float, u_hi: float) -> list[float]:
@@ -115,19 +134,23 @@ def _zeros_on_grid(E: float, qs: list[float]) -> list[float]:
     Psi with d = solve_d(E) is a complex constant times a real function
     (any ODE solution vanishing at sqrt(E) is), so dividing by the unit
     phase of its largest sample makes the profile real up to rounding
-    noise; the zeros are those of that real projection.
+    noise; the zeros are those of that real projection. The grid is one
+    array pass, and so is each lockstep halving of its sign changes.
     """
     d = solve_d(E)
-    vals = [wavefunction(q, E, d) for q in qs]
-    ref = max(vals, key=abs)
+    qs = np.array(qs, dtype=float)
+    vals = wavefunction_many(qs, E, d)
+    mags = np.hypot(vals.real, vals.imag).tolist()
+    ref = complex(vals[mags.index(max(mags))])
     if abs(ref) == 0.0:
         raise SolverError("wavefunction vanished on the whole grid")
     phase = ref / abs(ref)
 
-    def proj(q: float) -> float:
-        return (wavefunction(q, E, d) / phase).real
+    def proj(q: np.ndarray) -> np.ndarray:
+        psi = wavefunction_many(q, E, d)
+        return cquot(psi.real, psi.imag, phase)[0]
 
-    return grid_roots(proj, qs, [(v / phase).real for v in vals], ZERO_XTOL)
+    return grid_roots(proj, qs, cquot(vals.real, vals.imag, phase)[0], ZERO_XTOL)
 
 
 def wavefunction_zeros(E: float, q_max: float) -> list[float]:
@@ -218,12 +241,26 @@ def epsilon_asymptotic(q_m: float, chi: float) -> float:
     return (math.tan(PHI0) + math.sin(phi_m) / math.cos(PHI0)) / lg
 
 
-def _envelope_ratio(rho: float, inner: tuple[complex, complex] | None = None) -> float:
-    """|1/S(1, rho)|: envelope floor cos(phi0), poles where cos(phi)=0."""
-    s = _ratio_s(1.0, math.sqrt(rho), inner)
-    m = abs(s)
-    if m == 0.0:
-        raise SolverError(f"S vanished at rho={rho}")
+def _envelope_ratio(rhos: np.ndarray, inner: tuple[complex, complex]) -> np.ndarray:
+    """|1/S(1, rho)| at every rho of a 1-D array, `inner` = `_inner_pair(1.0)`:
+    envelope floor cos(phi0), poles where cos(phi) = 0.
+
+    One `KummerFamily` pass over the outer-wall arguments i*rho; each
+    element is `_ratio_s(1.0, sqrt(rho), inner)` in CPython's complex
+    arithmetic.
+    """
+    f_in, u_in = inner
+    q = np.array([math.sqrt(r) for r in rhos.tolist()])
+    f, u = KummerFamily(alpha_of(1.0), B32).FU(pack(*cmul(*cmul(0.0, 1.0, q, 0.0), q, 0.0)))
+    den = cmul(f_in.real, f_in.imag, u.real, u.imag)
+    rows = np.arange(rhos.size)
+    small = rows[np.hypot(*den) < _DEGENERATE_TOL]
+    if small.size:
+        raise SolverError(f"near-zero denominator in S at E=1.0, q_m={q[small[0]]}")
+    m = np.hypot(*cdiv(*cmul(f.real, f.imag, u_in.real, u_in.imag), *den))
+    vanished = rows[m == 0.0]
+    if vanished.size:
+        raise SolverError(f"S vanished at rho={rhos[vanished[0]]}")
     return 1.0 / m
 
 
@@ -238,9 +275,8 @@ def extract_phi0(rho_lo: float = 150.0, rho_hi: float = 1500.0) -> float:
         raise ValueError("window must span at least two envelope periods")
     step = 2.0 * math.pi / _PHI0_SAMPLES_PER_PERIOD
     n = int((rho_hi - rho_lo) / step) + 1
-    grid = [rho_lo + i * step for i in range(n)]
-    inner = _inner_pair(1.0)
-    mags = [_envelope_ratio(r, inner) for r in grid]
+    grid = np.array([rho_lo + i * step for i in range(n)])
+    mags = _envelope_ratio(grid, _inner_pair(1.0)).tolist()
     minima = []
     for i in range(1, n - 1):
         if mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]:

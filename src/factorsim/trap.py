@@ -12,9 +12,12 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import spectral
 from .qsieve import measurements_budget
 from .roots import grid_roots
+from .kummer import KummerFamily, cmul, each, pack
 from .special import kummer_F, kummer_U
 
 HBAR = 1.054571817e-34  # J s
@@ -165,10 +168,15 @@ def trap_beta(e_prime: float, params: TrapParameters) -> complex:
     return complex(0.5, -e_prime / (SQRT2 * HBAR * params.omega_z))
 
 
-def _trap_psi(beta: complex, u: float, c: complex) -> float:
-    """Re{ e^{i u^2/2} [U(beta,1,-iu^2) + c F(beta,1,-iu^2)] }."""
-    z = -1j * (u * u)
-    return (cmath.exp(0.5j * u * u) * (kummer_U(beta, 1.0, z) + c * kummer_F(beta, 1.0, z))).real
+def _trap_psi(beta: complex, us: np.ndarray, c: complex) -> np.ndarray:
+    """Re{ e^{i u^2/2} [U(beta,1,-iu^2) + c F(beta,1,-iu^2)] } at every u
+    of a 1-D array: one `KummerFamily` pass, in CPython's complex arithmetic."""
+    uu = us * us
+    w = -1j
+    f, u = KummerFamily(beta, 1.0).FU(pack(*cmul(w.real, w.imag, uu, 0.0)))
+    cf = cmul(c.real, c.imag, f.real, f.imag)
+    phase = each(cmath.exp, *cmul(*cmul(0.0, 0.5, us, 0.0), us, 0.0))  # 0.5j * u * u
+    return cmul(*phase, u.real + cf[0], u.imag + cf[1])[0]
 
 
 def trap_boundary_constant(e_prime: float, params: TrapParameters) -> complex:
@@ -190,30 +198,36 @@ def trap_boundary_constant(e_prime: float, params: TrapParameters) -> complex:
 
 def trap_wavefunction(rho: float, e_prime: float, params: TrapParameters,
                       c: complex | None = None) -> float:
-    """psi(rho) = Re{ e^{i u^2/2} [U(beta,1,-iu^2) + c F(beta,1,-iu^2)] }."""
+    """psi(rho); a one-element call of `trap_wavefunction_many`."""
+    return float(trap_wavefunction_many(np.array([rho], dtype=float), e_prime, params, c)[0])
+
+
+def trap_wavefunction_many(rhos: np.ndarray, e_prime: float, params: TrapParameters,
+                           c: complex | None = None) -> np.ndarray:
+    """psi(rho) = Re{ e^{i u^2/2} [U(beta,1,-iu^2) + c F(beta,1,-iu^2)] } at
+    every rho of a 1-D array."""
     if c is None:
         c = trap_boundary_constant(e_prime, params)
-    u = rho / length_scale(params)
-    beta = trap_beta(e_prime, params)
-    if u == 0.0:
-        # U(beta,1,z) ~ -log(z)/Gamma(beta) as z->0: psi diverges only
-        # logarithmically, so rho*psi^2 -> 0 at the origin
-        u = 1e-300
-    return _trap_psi(beta, u, c)
+    us = np.asarray(rhos, dtype=float) / length_scale(params)
+    # U(beta,1,z) ~ -log(z)/Gamma(beta) as z->0: psi diverges only
+    # logarithmically, so rho*psi^2 -> 0 at the origin
+    us = np.where(us == 0.0, 1e-300, us)
+    return _trap_psi(trap_beta(e_prime, params), us, c)
 
 
 def trap_wavefunction_zeros(E: float, q_lo: float, q_hi: float,
                             params: TrapParameters) -> list[float]:
-    """Zeros of the trap psi in dimensionless q over [q_lo, q_hi]."""
+    """Zeros of the trap psi in dimensionless q over [q_lo, q_hi]: the grid
+    and each lockstep halving of its sign changes are one array pass."""
     _, e_prime = to_physical(0.0, E, params)
     c = trap_boundary_constant(e_prime, params)
     beta = trap_beta(e_prime, params)
 
-    def f(q: float) -> float:
-        return _trap_psi(beta, q, c)
+    def f(qs: np.ndarray) -> np.ndarray:
+        return _trap_psi(beta, qs, c)
 
-    qs = spectral.q_grid(q_lo * q_lo, q_hi * q_hi)
-    return grid_roots(f, qs, [f(q) for q in qs], spectral.ZERO_XTOL)
+    qs = np.array(spectral.q_grid(q_lo * q_lo, q_hi * q_hi))
+    return grid_roots(f, qs, f(qs), spectral.ZERO_XTOL)
 
 
 @dataclass(frozen=True)

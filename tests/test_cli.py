@@ -28,14 +28,19 @@ def test_usage_error_exit_1(capsys):
     assert "usage" in err
 
 
-def test_domain_error_exit_2(capsys):
+def test_domain_error_exit_2(capsys, tmp_path):
     code, _, err = _run(capsys, "trap", "plan", "--N", "1e26")
     assert code == 2
     assert "domain" in err
     for argv in (["trap", "plan", "--N", "1e10", "--zero-index", "-1"],
-                 ["sieve", "invert", "--E", "1.0044", "--N", "10969262131", "--T", "-5"]):
+                 ["sieve", "invert", "--E", "1.0044", "--N", "10969262131", "--T", "-5"],
+                 ["sieve", "run", "--N", "10969262131", "--j", "10000", "--samples", "-2",
+                  "--out", str(tmp_path / "s.csv")],
+                 ["fig2", "--j", "10000", "--samples", "-2",
+                  "--out-prefix", str(tmp_path / "fig2")]):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, "") and json.loads(err)["error"] == "domain"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ensemble_csv_and_manifest(tmp_path, capsys):

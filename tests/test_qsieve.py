@@ -186,6 +186,14 @@ def test_pi_approx_guards(zeros):
         pi_approx(100.0, zeros, -5)
 
 
+def test_montecarlo_rejects_negative_samples(engine, zeros):
+    mc = MonteCarloConfig(samples=-2, rng_seed=0, T=50)
+    with pytest.raises(ValueError, match="samples = -2 must be >= 0"):
+        montecarlo_spectrum(N_FIG1, 10000, DEFAULT_G_GRID, mc, zeros, engine)
+    mc = MonteCarloConfig(samples=0, rng_seed=0, T=50)
+    assert montecarlo_spectrum(N_FIG1, 10000, DEFAULT_G_GRID, mc, zeros, engine).samples == []
+
+
 # The scalar explicit-formula path as it stood before the array evaluator,
 # kept as the reference that pi_approx_many must match bit for bit.
 
@@ -378,7 +386,7 @@ def test_invert_near_offset_round_trip(engine, zeros, monkeypatch):
         x = float(e.x)
         if e.x <= make_gauge(e.N, 0.0, engine, j=e.j).B_G:
             continue
-        E = objective(float(e.N), e.j, zeros, T)(x)
+        E = objective(float(e.N), e.j, zeros, T)(np.array([x])).tolist()[0]
         if not (1.0 < E < 9.0 / 8.0):
             continue
         calls.clear()

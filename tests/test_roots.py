@@ -1,10 +1,28 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 
-from factorsim.roots import bisect_lanes, bisect_root, grid_roots
+from factorsim.roots import bisect_lanes, grid_roots
 from factorsim.spectral import q_grid
+
+
+def bisect_root(f, lo, hi, f_lo, xtol=0.0, rtol=0.0):
+    """The scalar halving loop that `bisect_lanes` runs on each lane, kept as
+    the reference: the midpoint of [lo, hi] once hi - lo < xtol + rtol*mid,
+    the width tested before each evaluation; [lo, mid] is kept when
+    f_lo*f(mid) <= 0, else [mid, hi]; at most 200 halvings."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < xtol + rtol * mid:
+            return mid
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
 
 
 def ref_q_grid_scan(f, xs, fs):
@@ -54,15 +72,27 @@ def ref_near_scan(f, xs, fs, rel_tol):
 
 
 class Recorded:
-    """f with every argument it was called at kept, in order."""
+    """The scalar f with every argument it was called at kept, in order; an
+    array argument is evaluated element by element, in array order."""
 
     def __init__(self, f):
         self.f = f
         self.calls = []
 
     def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return np.array([self(v) for v in x.tolist()])
         self.calls.append(x)
         return self.f(x)
+
+
+def by_cell(calls, xs):
+    """The calls grouped by the grid cell [xs[i], xs[i+1]] holding them,
+    each group in call order: one bisection's evaluation sequence per cell."""
+    cells = {}
+    for x in calls:
+        cells.setdefault(bisect.bisect_right(xs, x) - 1, []).append(x)
+    return cells
 
 
 def _q_scan_both(f, qs):
@@ -81,7 +111,9 @@ def test_grid_roots_equals_old_q_scan_on_q_grid(phase):
     ref, new, rec_ref, rec_new = _q_scan_both(f, qs)
     assert len(new) >= 20
     assert new == ref
-    assert rec_new.calls == rec_ref.calls  # the same evaluation sequence
+    # the same evaluation sequence in every cell, the cells in lockstep
+    assert by_cell(rec_new.calls, qs) == by_cell(rec_ref.calls, qs)
+    assert rec_new.calls != rec_ref.calls
 
 
 def test_grid_roots_sample_on_root():
@@ -129,7 +161,7 @@ def test_bisect_root_equals_old_near_scan(rel_tol):
     new = grid_roots(rec_new, xs, fs, rtol=rel_tol)
     assert len(new) >= 5
     assert new == ref
-    assert rec_new.calls == rec_ref.calls
+    assert by_cell(rec_new.calls, xs) == by_cell(rec_ref.calls, xs)
 
 
 def test_grid_roots_rtol_returns_sample_on_root():
@@ -149,27 +181,35 @@ def test_grid_roots_rtol_returns_sample_on_root():
     assert all(abs(r - 2.0) < 1e-6 * 2.0 for r in ref)
 
 
+def _one_lane(f, lo, hi, f_lo, **tol):
+    """bisect_lanes on the single lane [lo, hi]: (root, capped)."""
+    roots, capped = bisect_lanes(lambda mids, lanes: f(mids), lo, hi, np.array([f_lo]), **tol)
+    return roots.tolist()[0], capped.tolist()[0]
+
+
 def test_bisect_root_xtol_and_rtol_add():
     f = Recorded(lambda x: x * x - 2.0)
-    r = bisect_root(f, 1.0, 2.0, -1.0, xtol=1e-3, rtol=1e-3)
-    assert abs(r - math.sqrt(2.0)) < 2e-3
+    r, capped = _one_lane(f, 1.0, 2.0, -1.0, xtol=1e-3, rtol=1e-3)
+    assert abs(r - math.sqrt(2.0)) < 2e-3 and not capped
+    assert r == bisect_root(lambda x: x * x - 2.0, 1.0, 2.0, -1.0, xtol=1e-3, rtol=1e-3)
     # the width halves from 1 until below 1e-3 + 1e-3*mid ~ 2.4e-3: 9 halvings
     assert len(f.calls) == 9
     # the width must fall strictly below the tolerance: 1, 1/2, 1/4 and
     # 1/8 are all evaluated, 1/16 stops
     g = Recorded(lambda x: x - 0.3)
-    bisect_root(g, 0.0, 1.0, -0.3, xtol=0.125)
+    _one_lane(g, 0.0, 1.0, -0.3, xtol=0.125)
     assert len(g.calls) == 4
 
 
 def test_bisect_root_caps_at_200_halvings():
     f = Recorded(lambda x: x - math.pi)
-    r = bisect_root(f, 3.0, 4.0, 3.0 - math.pi)
-    assert len(f.calls) == 200
+    r, capped = _one_lane(f, 3.0, 4.0, 3.0 - math.pi)
+    assert len(f.calls) == 200 and capped
     assert abs(r - math.pi) <= 4e-16
+    assert r == bisect_root(lambda x: x - math.pi, 3.0, 4.0, 3.0 - math.pi)
 
 
-def _lanes_both(fs, lo, hi, rtol):
+def _lanes_both(fs, lo, hi, rtol, xtol=0.0):
     """bisect_lanes on every lane and bisect_root on each alone; returns
     (lockstep roots, capped, lone roots, per-lane lockstep calls, lone calls,
     the midpoints of each lockstep call)."""
@@ -185,11 +225,12 @@ def _lanes_both(fs, lo, hi, rtol):
             out.append(fs[k](m))
         return np.array(out)
 
-    roots, capped = bisect_lanes(f_lanes, np.array(lo), np.array(hi), np.array(f_lo), rtol)
+    roots, capped = bisect_lanes(f_lanes, np.array(lo), np.array(hi), np.array(f_lo),
+                                 xtol=xtol, rtol=rtol)
     lone, lone_calls = [], []
     for f, a, b, fa in zip(fs, lo, hi, f_lo):
         rec = Recorded(f)
-        lone.append(bisect_root(rec, a, b, fa, rtol=rtol))
+        lone.append(bisect_root(rec, a, b, fa, xtol=xtol, rtol=rtol))
         lone_calls.append(rec.calls)
     return roots.tolist(), capped.tolist(), lone, seen, lone_calls, batches
 
@@ -245,8 +286,37 @@ def test_bisect_lanes_reports_the_cap():
 
 def test_bisect_lanes_scalar_bracket_and_no_lanes():
     # scalar lo and hi are shared by every lane; no lanes make no call of f
-    roots, capped = bisect_lanes(lambda m, k: m - 0.25, 0.0, 1.0, np.array([-0.25]), 1e-3)
+    roots, capped = bisect_lanes(lambda m, k: m - 0.25, 0.0, 1.0, np.array([-0.25]), rtol=1e-3)
     assert roots.tolist() == [bisect_root(lambda x: x - 0.25, 0.0, 1.0, -0.25, rtol=1e-3)]
     assert capped.tolist() == [False]
-    roots, capped = bisect_lanes(lambda m, k: 1 / 0, 0.0, 1.0, np.empty(0), 1.0)
+    roots, capped = bisect_lanes(lambda m, k: 1 / 0, 0.0, 1.0, np.empty(0), rtol=1.0)
     assert roots.size == 0 and capped.size == 0
+
+
+@pytest.mark.parametrize("xtol, rtol", [(1e-9, 0.0), (0.0, 1e-9), (1e-9, 1e-9), (2e-3, 5e-4)])
+def test_bisect_lanes_xtol_rtol_equal_reference(xtol, rtol):
+    # the absolute, the relative and the summed width tests, lane by lane
+    fs = [lambda x, c=c: math.sin(x) - c for c in (0.1, -0.4, 0.7, 0.25, 0.9)]
+    lo, hi = [0.0, 3.0, 0.5, 0.1, 1.0], [1.5, 4.0, 1.5, 0.3, 1.4]
+    roots, capped, lone, seen, lone_calls, batches = _lanes_both(fs, lo, hi, rtol, xtol)
+    assert roots == lone and seen == lone_calls and capped == [False] * 5
+    assert len(batches) == max(len(c) for c in seen)
+
+
+@pytest.mark.parametrize("xtol, rtol", [(1e-12, 0.0), (0.0, 1e-9), (1e-12, 1e-9)])
+def test_grid_roots_lanes_equal_reference(xtol, rtol):
+    # grid_roots bisects every sign change in one lockstep call; each root
+    # and each cell's evaluation sequence is that of the reference on the cell
+    def f(x):
+        return math.cos(3.0 * x) + 0.2
+
+    xs = [float(x) for x in np.linspace(0.3, 9.0, 23)]
+    fs = [f(x) for x in xs]
+    rec = Recorded(f)
+    got = grid_roots(rec, xs, fs, xtol=xtol, rtol=rtol)
+    ref, ref_rec = [], Recorded(f)
+    for i in range(len(xs) - 1):
+        if fs[i] * fs[i + 1] < 0.0:
+            ref.append(bisect_root(ref_rec, xs[i], xs[i + 1], fs[i], xtol=xtol, rtol=rtol))
+    assert len(got) >= 6 and got == ref
+    assert by_cell(rec.calls, xs) == by_cell(ref_rec.calls, xs)

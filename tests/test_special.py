@@ -5,7 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from factorsim import special
+from factorsim import kummer, special
+from factorsim.kummer import KummerFamily, cdiv, cmul, cquot, pack
 from factorsim.special import (
     SpecialFunctionError,
     cdigamma,
@@ -194,3 +195,98 @@ def test_fast_paths_match_reference_loops_bit_for_bit(monkeypatch):
     slow = [(kummer_F(a, b, z), kummer_U(a, b, z)) for _, a, b, z in cases]
     mismatches = [(c, f, s) for c, f, s in zip(cases, fast, slow) if f != s]
     assert not mismatches, mismatches[:3]
+
+
+def _bits(values) -> list:
+    """The 64-bit patterns of the real and imaginary parts: equal bits mean
+    equal floats, signed zeros included."""
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+def _signed_draw(rng, n):
+    """Seeded floats over 22 decades, with +0.0 and -0.0 mixed in."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-11, 12, n).astype(float)
+    x[rng.random(n) < 0.05] = 0.0
+    x[rng.random(n) < 0.05] = -0.0
+    return x
+
+
+def test_complex_helpers_match_cpython_bit_for_bit():
+    """The array product, quotients and abs are CPython's complex results."""
+    rng = np.random.default_rng(20261019)
+    xr, xi, yr, yi = (_signed_draw(rng, 20000) for _ in range(4))
+    xs = [complex(r, i) for r, i in zip(xr.tolist(), xi.tolist())]
+    ys = [complex(r, i) for r, i in zip(yr.tolist(), yi.tolist())]
+    assert _bits(pack(*cmul(xr, xi, yr, yi))) == _bits([x * y for x, y in zip(xs, ys)])
+    nonzero = np.hypot(yr, yi) != 0.0
+    assert _bits(pack(*cdiv(xr[nonzero], xi[nonzero], yr[nonzero], yi[nonzero]))) == \
+        _bits([x / y for x, y in zip(xs, ys) if y != 0])
+    # a fixed divisor takes one branch of Smith's algorithm for every x
+    for d in (3, 2.5, 2.5j, complex(-0.0, 1.0), complex(1e-3, -4.0), complex(-7.0, 0.5),
+              ys[0], ys[1]):
+        assert _bits(pack(*cquot(xr, xi, d))) == _bits([x / d for x in xs]), d
+    assert np.hypot(xr, xi).tolist() == [abs(x) for x in xs]
+    # a scalar on either side of the product, as the family passes use it
+    w = complex(-0.0, -0.5)
+    assert _bits(pack(*cmul(w.real, w.imag, xr, xi))) == _bits([w * x for x in xs])
+    assert _bits(pack(*cmul(yr, 0.0, xr, xi))) == \
+        _bits([r * x for r, x in zip(yr.tolist(), xs)])
+
+
+def _family_sweep():
+    """(family, [E, ...], z array) per family: every E of `_fast_path_sweep`
+    and all of that family's z values, on both axis signs."""
+    cases = list(_fast_path_sweep())
+    for family in _FAMILIES:
+        mine = [c for c in cases if c[0] == family]
+        Es = sorted({round(-4.0 * c[1].imag if family != "trap" else 4.0 * c[1].imag, 12)
+                     for c in mine})
+        yield family, Es, np.array([c[3] for c in mine])
+
+
+@pytest.mark.parametrize("lanes_min", ["default", "array", "scalar"])
+def test_family_matches_scalar_bit_for_bit(lanes_min, monkeypatch):
+    """One KummerFamily pass over a family's whole sweep per E gives the
+    scalar F and U at every z. `lanes_min` forces the array loops (or the
+    per-z scalar loops) on every regime, whatever its size."""
+    if lanes_min != "default":
+        monkeypatch.setattr(kummer, "_LANES_MIN", 0 if lanes_min == "array" else 10**9)
+    for family, Es, zs in _family_sweep():
+        for E in (Es if lanes_min == "default" else Es[::12]):
+            a, b = _FAMILIES[family](E)
+            F, U = KummerFamily(a, b).FU(zs)
+            assert _bits(F) == _bits([kummer_F(a, b, z) for z in zs.tolist()]), (family, E)
+            assert _bits(U) == _bits([kummer_U(a, b, z) for z in zs.tolist()]), (family, E)
+            assert _bits(KummerFamily(a, b).F(zs)) == _bits(F)
+
+
+@pytest.mark.parametrize("lanes_min", ["default", "array"])
+def test_family_mixed_regimes_and_edges(lanes_min, monkeypatch):
+    """One z array that crosses every regime of both functions, with each
+    radius (12, 17.5, 30, 35) and its float neighbours, in shuffled order."""
+    if lanes_min == "array":
+        monkeypatch.setattr(kummer, "_LANES_MIN", 0)
+    rng = np.random.default_rng(7)
+    edges = [12.0, 17.5, 30.0, 35.0]
+    rs = edges + [np.nextafter(r, 0.0) for r in edges] + [np.nextafter(r, 99.0) for r in edges]
+    rs = np.concatenate([rs, np.exp(rng.uniform(math.log(0.05), math.log(3000.0), 400))])
+    # off the axis by up to 0.2 rad, across the phase -pi/2 where the large-z
+    # F switches sign; e^z stays finite
+    tilt = np.where(rng.random(rs.size) < 0.5, 0.5, -0.5) * np.pi + rng.uniform(-0.2, 0.2, rs.size)
+    zs = np.concatenate([1j * rs, -1j * rs, rs * np.exp(1j * tilt)])
+    zs = zs[rng.permutation(zs.size)]
+    for family, ab in _FAMILIES.items():
+        a, b = ab(1.3)
+        F, U = KummerFamily(a, b).FU(zs)
+        assert _bits(F) == _bits([kummer_F(a, b, z) for z in zs.tolist()]), family
+        assert _bits(U) == _bits([kummer_U(a, b, z) for z in zs.tolist()]), family
+
+
+def test_family_errors():
+    with pytest.raises(SpecialFunctionError):
+        KummerFamily(ALPHA1, -1.0)
+    with pytest.raises(SpecialFunctionError):
+        KummerFamily(ALPHA1, B32).FU(np.array([1j, 0j]))
+    with pytest.raises(SpecialFunctionError):
+        KummerFamily(ALPHA1, 2.0).FU(np.array([1j]))
+    assert KummerFamily(ALPHA1, B32).FU(np.array([], dtype=complex))[1].size == 0

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from factorsim import spectral
@@ -17,6 +18,7 @@ from factorsim.spectral import (
     solve_d,
     solve_energy,
     wavefunction,
+    wavefunction_many,
     wavefunction_zeros,
 )
 
@@ -62,14 +64,17 @@ def test_zeros_against_dense_grid_oracle():
     d = solve_d(E)
     zs = wavefunction_zeros(E, 10.0)
     q = 1.001
+    qs = []
+    while q <= 10.0:
+        qs.append(q)
+        q += 1e-4
+    psi = wavefunction_many(np.array(qs), E, d)
     minima = []
     prev2 = prev = None
-    while q <= 10.0:
-        cur = abs(wavefunction(q, E, d))
+    for q, cur in zip(qs, np.hypot(psi.real, psi.imag).tolist()):
         if prev2 is not None and prev < prev2 and prev < cur and prev < 1e-2:
             minima.append(q - 1e-4)
         prev2, prev = prev, cur
-        q += 1e-4
     assert len(minima) == len(zs)
     assert max(abs(a - b) for a, b in zip(minima, zs)) < 5e-4
 
@@ -195,8 +200,51 @@ def test_extract_phi0_window_stability():
 
 def test_envelope_has_sec_poles():
     """|1/S| maxima blow up between the cos(phi0) floors."""
-    from factorsim.spectral import _envelope_ratio
+    from factorsim.spectral import _envelope_ratio, _inner_pair
 
-    vals = [_envelope_ratio(r) for r in [float(x) for x in range(200, 300)]]
+    vals = _envelope_ratio(np.arange(200.0, 300.0), _inner_pair(1.0)).tolist()
     assert max(vals) > 5.0 * min(vals)
+
+
+def _reference_wavefunction(q, E, d):
+    """The scalar Psi(q) the array pass replaced, kept as the reference."""
+    if q == 0.0:
+        return 0.0 + 0.0j
+    a = alpha_of(E)
+    z = 1j * q * q
+    bracket = kummer_F(a, 1.5, z) + d * kummer_U(a, 1.5, z)
+    return q * cmath.exp(-0.5j * q * q) * bracket
+
+
+def _reference_envelope_ratio(rho, inner):
+    f_in, u_in = inner
+    a = alpha_of(1.0)
+    z_out = 1j * math.sqrt(rho) * math.sqrt(rho)
+    s = kummer_F(a, 1.5, z_out) * u_in / (f_in * kummer_U(a, 1.5, z_out))
+    return 1.0 / abs(s)
+
+
+@pytest.mark.parametrize("E", [0.4, 1.0, 2.7])
+def test_wavefunction_many_equals_scalar_formula(E):
+    """Every element of the array pass is the scalar formula's value, in
+    every regime of F and U (q^2 from 0 to 2500), q = 0 included."""
+    d = solve_d(E)
+    qs = np.concatenate([[0.0, math.sqrt(12.0), math.sqrt(30.0), math.sqrt(35.0)],
+                         np.linspace(0.01, 50.0, 397)])
+    got = wavefunction_many(qs, E, d)
+    ref = [_reference_wavefunction(q, E, d) for q in qs.tolist()]
+    assert np.asarray(got).view(np.uint64).tolist() == \
+        np.asarray(ref, dtype=complex).view(np.uint64).tolist()
+    assert [wavefunction(q, E, d) for q in qs[:40].tolist()] == ref[:40]
+    with pytest.raises(ValueError):
+        wavefunction_many(np.array([1.0, -0.5]), E, d)
+
+
+def test_envelope_ratio_equals_scalar_formula():
+    from factorsim.spectral import _envelope_ratio, _inner_pair
+
+    inner = _inner_pair(1.0)
+    rhos = np.linspace(150.0, 475.0, 301)
+    assert _envelope_ratio(rhos, inner).tolist() == \
+        [_reference_envelope_ratio(r, inner) for r in rhos.tolist()]
 

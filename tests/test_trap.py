@@ -1,6 +1,10 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
+
+from factorsim.special import kummer_F, kummer_U
 
 from factorsim.trap import (
     FLUX_QUANTUM,
@@ -18,8 +22,10 @@ from factorsim.trap import (
     size_to_axial,
     to_dimensionless,
     to_physical,
+    trap_beta,
     trap_boundary_constant,
     trap_wavefunction,
+    trap_wavefunction_many,
     trap_wavefunction_zeros,
     zero_match_report,
 )
@@ -165,3 +171,26 @@ def test_parameter_validation_catches_inconsistency(plan):
     p = dataclasses.replace(plan.params, omega_m=plan.params.omega_m * 1.5)
     with pytest.raises(TrapPlanError):
         p.validate()
+
+
+def _reference_trap_wavefunction(rho, e_prime, params, c):
+    """The scalar trap psi the array pass replaced, kept as the reference."""
+    u = rho / length_scale(params)
+    if u == 0.0:
+        u = 1e-300
+    beta = trap_beta(e_prime, params)
+    z = -1j * (u * u)
+    return (cmath.exp(0.5j * u * u) * (kummer_U(beta, 1.0, z) + c * kummer_F(beta, 1.0, z))).real
+
+
+@pytest.mark.parametrize("E", [0.5, 1.0, 1.6])
+def test_trap_wavefunction_many_equals_scalar_formula(plan, E):
+    """Every element of the array pass is the scalar formula's value, across
+    the log series, the F regimes and the large-u sums."""
+    p = plan.params
+    _, ep = to_physical(0.0, E, p)
+    c = trap_boundary_constant(ep, p)
+    rhos = np.linspace(0.02, 45.0, 300) * length_scale(p)
+    ref = [_reference_trap_wavefunction(r, ep, p, c) for r in rhos.tolist()]
+    assert trap_wavefunction_many(rhos, ep, p, c).tolist() == ref
+    assert [trap_wavefunction(r, ep, p, c) for r in rhos[:30].tolist()] == ref[:30]

@@ -12,7 +12,7 @@ same CLI outputs, byte for byte, exactly when their listings are equal:
     python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
-Standard library only. The set takes about ten seconds on a 2-core Xeon.
+Standard library only. The set takes about fifteen seconds on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ RUNS = [
     ("fig2", ["fig2", "--j", "10000", "--T", "100", "--seed", "42", "--samples", "8",
               "--out-prefix", "fig2"]),
     ("fig3", ["fig3", "--out", "fig3.csv", "--svg"]),
+    # away from E = 1, both scans cross every regime of F and U in both families
+    ("fig3-E2.5", ["fig3", "--E", "2.5", "--out", "fig3.csv", "--svg"]),
     ("zeromatch-default", ["trap", "zeromatch", "--out", "zm.csv"]),
     ("zeromatch-window", ["trap", "zeromatch", "--E", "1.3", "--q-lo", "2", "--q-hi", "6",
                           "--N", "1e12", "--out", "zm.csv"]),
@@ -41,6 +43,7 @@ RUNS = [
     ("solve-20", ["spectrum", "solve", "--qm", "20", "--guess", "1.0"]),
     ("solve-46.6", ["spectrum", "solve", "--qm", "46.6", "--guess", "1.0"]),
     ("zeros", ["spectrum", "zeros", "--E", "1", "--qmax", "12"]),
+    ("zeros-E0.3", ["spectrum", "zeros", "--E", "0.3", "--qmax", "40"]),
     ("phi0", ["spectrum", "phi0"]),
     ("sieve-run", ["sieve", "run", "--N", N_DESK, "--j", "10000", "--T", "50",
                    "--samples", "6", "--out", "samples.csv"]),
