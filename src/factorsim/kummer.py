@@ -37,6 +37,7 @@ from .special import (
     _MAXTERMS,
     _SERIES_RADIUS,
     _U_ASYMPT_RADIUS,
+    _U_LOG_RADIUS,
     SpecialFunctionError,
     _asymptotic_sum,
     _hyp_series,
@@ -176,8 +177,7 @@ class KummerFamily:
             raise SpecialFunctionError(f"F pole: b = {b} is a non-positive integer")
         self.a, self.b = a, b
         self._integer_b = b.imag == 0 and b.real == int(b.real)
-        # the U radius of `kummer_U`
-        self._u_radius = 17.5 if self._integer_b else _U_ASYMPT_RADIUS
+        self._u_radius = _U_LOG_RADIUS if self._integer_b else _U_ASYMPT_RADIUS
 
     @functools.cached_property
     def _gammas(self) -> tuple[complex, complex, complex]:

@@ -47,6 +47,7 @@ _LANCZOS_C = (
 _SERIES_RADIUS = 12.0
 _ASYMPT_RADIUS = 35.0
 _U_ASYMPT_RADIUS = 30.0
+_U_LOG_RADIUS = 17.5  # U(a, 1, z): log series inside, asymptotic series outside
 _EPS = 1e-15
 _MAXTERMS = 600
 
@@ -250,7 +251,7 @@ def kummer_U(a: complex, b: complex, z: complex) -> complex:
     integer_b = b.imag == 0 and b.real == int(b.real)
     # the logarithmic series loses digits sooner than the connection route,
     # and the asymptotic side is already ~5e-9 at 17.5 (measured crossover)
-    radius = 17.5 if integer_b else _U_ASYMPT_RADIUS
+    radius = _U_LOG_RADIUS if integer_b else _U_ASYMPT_RADIUS
     if abs(z) > radius:
         s = _asymptotic_sum(a, a - b + 1.0, -1.0 / z)
         return cmath.exp(-a * cmath.log(z)) * s

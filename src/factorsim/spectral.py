@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roots import grid_roots
 from .kummer import KummerFamily, cdiv, cmul, cquot, each, pack
+from .roots import grid_roots
 from .special import kummer_F, kummer_U
 
 B32 = 1.5

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
+from .kummer import KummerFamily, cmul, each, pack
 from .qsieve import measurements_budget
 from .roots import grid_roots
-from .kummer import KummerFamily, cmul, each, pack
 from .special import kummer_F, kummer_U
 
 HBAR = 1.054571817e-34  # J s
