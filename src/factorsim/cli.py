@@ -435,23 +435,24 @@ def run(argv=None) -> int:
                     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                         raise _UsageError(f"--config value {value!r} for {key!r}: {exc}") from None
                 setattr(args, name, value)
+        if args.cmd == "spectrum":
+            return _cmd_spectrum(args)
+        if args.cmd == "trap":
+            return _cmd_trap(args)
+        if args.cmd == "fig3":
+            return _cmd_zero_match(args, "fig3", 1.0, 8.0, {"E": args.E, "N": args.N})
+        # only the prime-counting commands sieve a table
         engine = PrimeEngine()
         if args.cmd == "primes":
             return _cmd_primes(args, engine)
         if args.cmd == "ensemble":
             return _cmd_ensemble(args, engine)
-        if args.cmd == "spectrum":
-            return _cmd_spectrum(args)
         if args.cmd == "sieve":
             return _cmd_sieve(args, engine)
-        if args.cmd == "trap":
-            return _cmd_trap(args)
         if args.cmd == "fig1":
             return _cmd_fig1(args, engine)
         if args.cmd == "fig2":
             return _cmd_fig2(args, engine)
-        if args.cmd == "fig3":
-            return _cmd_zero_match(args, "fig3", 1.0, 8.0, {"E": args.E, "N": args.N})
         raise _UsageError(f"unknown command {args.cmd}")
     except _UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)

@@ -22,6 +22,21 @@ def test_primes_subcommands(capsys):
     assert code == 0 and out.strip() == "11"
 
 
+def test_spectral_commands_build_no_prime_table(capsys, monkeypatch, tmp_path):
+    """spectrum, trap and fig3 count no primes, so they sieve no table."""
+    from factorsim import cli
+
+    def no_engine():
+        raise AssertionError("PrimeEngine built")
+
+    monkeypatch.setattr(cli, "PrimeEngine", no_engine)
+    for argv in (["spectrum", "zeros", "--E", "1", "--qmax", "3"],
+                 ["trap", "plan", "--N", "10969262131"],
+                 ["fig3", "--out", str(tmp_path / "fig3.csv")]):
+        code, _, err = _run(capsys, *argv)
+        assert code == 0, err
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = _run(capsys, "wat")
     assert code == 1
