@@ -86,6 +86,7 @@ def cdiv(xr, xi, yr, yi):
 
 
 def pack(re, im) -> np.ndarray:
+    """The complex array of (real, imag) parts."""
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
     return out

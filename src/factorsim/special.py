@@ -16,7 +16,12 @@ cumulative sum adds the nodes in the order of the scalar running sum.
 These are the point evaluators (the Newton solver, the matching point,
 boundary constants). A scan at fixed (a, b) goes through
 `kummer.KummerFamily`, which runs these same algorithms on a whole array
-of z and returns floats equal to these, bit for bit.
+of z and returns floats equal to these, bit for bit. NumPy's own complex
+product, quotient, abs and exp round differently from CPython's, so that
+path applies CPython's formulas to (real, imag) float arrays: the product
+(ar*br - ai*bi, ar*bi + ai*br), Smith's quotient as `_Py_c_quot` takes
+it, np.hypot for abs; float + - * /, comparisons, np.hypot and
+np.spacing are exact, and exp and log go through cmath per element.
 
 Regime radii were calibrated against an arbitrary-precision oracle:
 the double-precision power series keeps ~1e-11 relative accuracy to

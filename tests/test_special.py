@@ -234,14 +234,13 @@ def test_complex_helpers_match_cpython_bit_for_bit():
 
 
 def _family_sweep():
-    """(family, [E, ...], z array) per family: every E of `_fast_path_sweep`
-    and all of that family's z values, on both axis signs."""
+    """(family, [(a, b), ...], z array) per family: the (a, b) of every E of
+    `_fast_path_sweep` and all of that family's z values, on both axis signs."""
     cases = list(_fast_path_sweep())
     for family in _FAMILIES:
         mine = [c for c in cases if c[0] == family]
-        Es = sorted({round(-4.0 * c[1].imag if family != "trap" else 4.0 * c[1].imag, 12)
-                     for c in mine})
-        yield family, Es, np.array([c[3] for c in mine])
+        params = list(dict.fromkeys((a, b) for _, a, b, _ in mine))
+        yield family, params, np.array([z for _, _, _, z in mine])
 
 
 @pytest.mark.parametrize("lanes_min", ["default", "array", "scalar"])
@@ -251,12 +250,11 @@ def test_family_matches_scalar_bit_for_bit(lanes_min, monkeypatch):
     per-z scalar loops) on every regime, whatever its size."""
     if lanes_min != "default":
         monkeypatch.setattr(kummer, "_LANES_MIN", 0 if lanes_min == "array" else 10**9)
-    for family, Es, zs in _family_sweep():
-        for E in (Es if lanes_min == "default" else Es[::12]):
-            a, b = _FAMILIES[family](E)
+    for family, params, zs in _family_sweep():
+        for a, b in (params if lanes_min == "default" else params[::12]):
             F, U = KummerFamily(a, b).FU(zs)
-            assert _bits(F) == _bits([kummer_F(a, b, z) for z in zs.tolist()]), (family, E)
-            assert _bits(U) == _bits([kummer_U(a, b, z) for z in zs.tolist()]), (family, E)
+            assert _bits(F) == _bits([kummer_F(a, b, z) for z in zs.tolist()]), (family, a)
+            assert _bits(U) == _bits([kummer_U(a, b, z) for z in zs.tolist()]), (family, a)
             assert _bits(KummerFamily(a, b).F(zs)) == _bits(F)
 
 
