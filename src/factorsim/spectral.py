@@ -10,6 +10,8 @@ phase-anchored real projection.
 Every scan (the zero grids, their lockstep bisections and the phi0 grid)
 is one `KummerFamily` pass over an array of z at fixed E; the Newton
 solver and the matching point use the scalar `kummer_F` / `kummer_U`.
+The scans import `kummer` when they run: the sieve and ensemble commands
+import this module but never scan, and so never load it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kummer import KummerFamily, cdiv, cmul, cquot, each, pack
 from .roots import grid_roots
 from .special import kummer_F, kummer_U
 
@@ -102,6 +103,8 @@ def wavefunction(q: float, E: float, d: complex) -> complex:
 def wavefunction_many(qs: np.ndarray, E: float, d: complex) -> np.ndarray:
     """Psi at every q of a 1-D array: q e^{-i q^2/2} {F + d U}(a, 3/2, i q^2),
     in CPython's complex arithmetic; the q prefactor makes Psi(0) = 0 exactly."""
+    from .kummer import KummerFamily, cmul, each, pack
+
     qs = np.asarray(qs, dtype=float)
     samples = np.arange(qs.size)
     if samples[qs < 0.0].size:
@@ -137,6 +140,8 @@ def _zeros_on_grid(E: float, qs: list[float]) -> list[float]:
     noise; the zeros are those of that real projection. The grid is one
     array pass, and so is each lockstep halving of its sign changes.
     """
+    from .kummer import cquot
+
     d = solve_d(E)
     qs = np.array(qs, dtype=float)
     vals = wavefunction_many(qs, E, d)
@@ -249,6 +254,8 @@ def _envelope_ratio(rhos: np.ndarray, inner: tuple[complex, complex]) -> np.ndar
     element is `_ratio_s(1.0, sqrt(rho), inner)` in CPython's complex
     arithmetic.
     """
+    from .kummer import KummerFamily, cdiv, cmul, pack
+
     f_in, u_in = inner
     q = np.array([math.sqrt(r) for r in rhos.tolist()])
     f, u = KummerFamily(alpha_of(1.0), B32).FU(pack(*cmul(*cmul(0.0, 1.0, q, 0.0), q, 0.0)))

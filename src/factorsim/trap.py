@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .kummer import KummerFamily, cmul, each, pack
 from .qsieve import measurements_budget
 from .roots import grid_roots
 from .special import kummer_F, kummer_U
@@ -171,6 +170,8 @@ def trap_beta(e_prime: float, params: TrapParameters) -> complex:
 def _trap_psi(beta: complex, us: np.ndarray, c: complex) -> np.ndarray:
     """Re{ e^{i u^2/2} [U(beta,1,-iu^2) + c F(beta,1,-iu^2)] } at every u
     of a 1-D array: one `KummerFamily` pass, in CPython's complex arithmetic."""
+    from .kummer import KummerFamily, cmul, each, pack  # loaded by scans only, as in spectral
+
     uu = us * us
     w = -1j
     f, u = KummerFamily(beta, 1.0).FU(pack(*cmul(w.real, w.imag, uu, 0.0)))
