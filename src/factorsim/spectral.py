@@ -7,9 +7,10 @@ S(E, q_m) = 1. Because any solution vanishing at sqrt(E) is a complex
 multiple of a real one, zero finding and root solving work on a
 phase-anchored real projection.
 
-Every scan (the zero grids, their lockstep bisections and the phi0 grid)
-is one `KummerFamily` pass over an array of z at fixed E; the Newton
-solver and the matching point use the scalar `kummer_F` / `kummer_U`.
+Every scan (the zero grids, each lockstep round of their false-position
+refinement and the phi0 grid) is one `KummerFamily` pass over an array
+of z at fixed E; the Newton solver and the matching point use the scalar
+`kummer_F` / `kummer_U`.
 The scans import `kummer` when they run: the sieve and ensemble commands
 import this module but never scan, and so never load it.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roots import grid_roots
+from .roots import grid_zeros
 from .special import kummer_F, kummer_U
 
 B32 = 1.5
@@ -46,7 +47,7 @@ _NEWTON_MAX_ITER = 50
 _FD_STEP = 1e-6  # central-difference step of dS/dE
 
 # q^2 spacing of every zero scan (see `q_grid`) and the bracket width at
-# which bisection of a zero stops
+# which the refinement of a zero stops
 _Q2_STEP = math.pi / 8
 ZERO_XTOL = 1e-12
 # samples of |1/S| per period 2*pi of rho in `extract_phi0`
@@ -125,10 +126,26 @@ def q_grid(u_lo: float, u_hi: float) -> list[float]:
     """q samples uniform in q^2 over [u_lo, u_hi], at most _Q2_STEP apart in q^2.
 
     Zeros of both wavefunctions are ~2*pi apart in q^2, so a step below
-    pi puts a sign change between every pair of neighbouring zeros.
+    pi puts a sign change between every pair of neighbouring zeros, and
+    each cell with a sign change holds one simple zero.
     """
     n = max(int((u_hi - u_lo) / _Q2_STEP) + 2, 8)
     return [math.sqrt(u_lo + (u_hi - u_lo) * i / (n - 1)) for i in range(n)]
+
+
+def refine_zeros(f, qs: np.ndarray, fs: np.ndarray) -> list[float]:
+    """Zeros of f on the ascending q samples qs, fs = f(qs): every sign
+    change refined by lockstep false position to ZERO_XTOL (`roots.grid_zeros`).
+
+    f takes and returns 1-D arrays. Raises SolverError naming the q bracket
+    of a zero that ran out of rounds.
+    """
+    zeros, capped = grid_zeros(f, qs, fs, ZERO_XTOL)
+    if capped:
+        lo, hi = capped[0]
+        raise SolverError(f"zero scan did not converge on q in [{lo!r}, {hi!r}] "
+                          f"({len(capped)} bracket(s) ran out of rounds)")
+    return zeros
 
 
 def _zeros_on_grid(E: float, qs: list[float]) -> list[float]:
@@ -138,7 +155,7 @@ def _zeros_on_grid(E: float, qs: list[float]) -> list[float]:
     (any ODE solution vanishing at sqrt(E) is), so dividing by the unit
     phase of its largest sample makes the profile real up to rounding
     noise; the zeros are those of that real projection. The grid is one
-    array pass, and so is each lockstep halving of its sign changes.
+    array pass, and so is each lockstep round that refines its sign changes.
     """
     from .kummer import cquot
 
@@ -155,11 +172,11 @@ def _zeros_on_grid(E: float, qs: list[float]) -> list[float]:
         psi = wavefunction_many(q, E, d)
         return cquot(psi.real, psi.imag, phase)[0]
 
-    return grid_roots(proj, qs, cquot(vals.real, vals.imag, phase)[0], ZERO_XTOL)
+    return refine_zeros(proj, qs, cquot(vals.real, vals.imag, phase)[0])
 
 
 def wavefunction_zeros(E: float, q_max: float) -> list[float]:
-    """All zeros of Psi in (sqrt(E), q_max], by sign change + bisection."""
+    """All zeros of Psi in (sqrt(E), q_max], by sign change + false position."""
     q0 = math.sqrt(E)
     if q_max <= q0:
         return []

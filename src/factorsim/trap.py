@@ -16,7 +16,6 @@ import numpy as np
 
 from . import spectral
 from .qsieve import measurements_budget
-from .roots import grid_roots
 from .special import kummer_F, kummer_U
 
 HBAR = 1.054571817e-34  # J s
@@ -206,20 +205,25 @@ def trap_wavefunction(rho: float, e_prime: float, params: TrapParameters,
 def trap_wavefunction_many(rhos: np.ndarray, e_prime: float, params: TrapParameters,
                            c: complex | None = None) -> np.ndarray:
     """psi(rho) = Re{ e^{i u^2/2} [U(beta,1,-iu^2) + c F(beta,1,-iu^2)] } at
-    every rho of a 1-D array."""
+    every rho > 0 of a 1-D array.
+
+    U(beta,1,z) ~ -log(z)/Gamma(beta) as z -> 0: psi diverges only
+    logarithmically at the origin, so rho*psi^2 -> 0 there, but psi(0)
+    itself is undefined and rho <= 0 raises ValueError.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    if np.arange(rhos.size)[rhos <= 0.0].size:
+        raise ValueError("rho must be > 0")
     if c is None:
         c = trap_boundary_constant(e_prime, params)
-    us = np.asarray(rhos, dtype=float) / length_scale(params)
-    # U(beta,1,z) ~ -log(z)/Gamma(beta) as z->0: psi diverges only
-    # logarithmically, so rho*psi^2 -> 0 at the origin
-    us = np.where(us == 0.0, 1e-300, us)
-    return _trap_psi(trap_beta(e_prime, params), us, c)
+    return _trap_psi(trap_beta(e_prime, params), rhos / length_scale(params), c)
 
 
 def trap_wavefunction_zeros(E: float, q_lo: float, q_hi: float,
                             params: TrapParameters) -> list[float]:
     """Zeros of the trap psi in dimensionless q over [q_lo, q_hi]: the grid
-    and each lockstep halving of its sign changes are one array pass."""
+    and each lockstep round that refines its sign changes are one array
+    pass (`spectral.refine_zeros`)."""
     _, e_prime = to_physical(0.0, E, params)
     c = trap_boundary_constant(e_prime, params)
     beta = trap_beta(e_prime, params)
@@ -228,7 +232,7 @@ def trap_wavefunction_zeros(E: float, q_lo: float, q_hi: float,
         return _trap_psi(beta, qs, c)
 
     qs = np.array(spectral.q_grid(q_lo * q_lo, q_hi * q_hi))
-    return grid_roots(f, qs, f(qs), spectral.ZERO_XTOL)
+    return spectral.refine_zeros(f, qs, f(qs))
 
 
 @dataclass(frozen=True)

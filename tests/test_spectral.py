@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from factorsim import spectral
+from factorsim.cli import run as cli_run
+from factorsim.roots import grid_roots
 from factorsim.special import kummer_F, kummer_U
 from factorsim.spectral import (
     CHI_REF,
@@ -77,6 +79,52 @@ def test_zeros_against_dense_grid_oracle():
         prev2, prev = prev, cur
     assert len(minima) == len(zs)
     assert max(abs(a - b) for a, b in zip(minima, zs)) < 5e-4
+
+
+def bisection_reference(f, qs, fs):
+    """The zeros of a scan by lockstep bisection, each bracket halved below
+    ZERO_XTOL (the zero scans' width before false position)."""
+    return grid_roots(f, qs, fs, rtol=spectral.ZERO_XTOL / float(qs[-1]))
+
+
+def assert_near_reference(scans, tol=1e-10):
+    for f, qs, fs, zeros, _ in scans:
+        ref = bisection_reference(f, qs, fs)
+        assert len(zeros) == len(ref)
+        assert max(abs(a - b) for a, b in zip(zeros, ref)) <= tol
+
+
+@pytest.mark.parametrize("E", [0.3, 1.0, 2.5, 7.5])
+def test_zeros_near_bisection_reference(zero_scans, E):
+    zs = wavefunction_zeros(E, 30.0)
+    assert len(zero_scans) == 1 and len(zs) >= 130
+    assert_near_reference(zero_scans)
+
+
+def cell_of(qs, q):
+    """The cell (qs[i], qs[i+1]) of the grid qs that holds q."""
+    i = int(np.searchsorted(qs, q)) - 1
+    return qs[i], qs[i + 1]
+
+
+def nan_inside(vals, x, lo, hi):
+    """vals with NaN wherever lo < x < hi."""
+    vals = np.array(vals)
+    vals[(x > lo) & (x < hi)] = np.nan
+    return vals
+
+
+def test_zero_scan_out_of_rounds_raises(monkeypatch, capsys):
+    # Psi is NaN inside the cell of the first zero: that lane never moves,
+    # runs out of rounds, and the scan names its q bracket
+    lo, hi = cell_of(spectral.q_grid(1.0 + 1e-6, 12.0 * 12.0), 2.8277)
+    psi = spectral.wavefunction_many
+    monkeypatch.setattr(spectral, "wavefunction_many",
+                        lambda q, E, d: nan_inside(psi(q, E, d), q, lo, hi))
+    with pytest.raises(SolverError, match=rf"\[{lo!r}, {hi!r}\]"):
+        wavefunction_zeros(1.0, 12.0)
+    assert cli_run(["spectrum", "zeros", "--E", "1", "--qmax", "12"]) == 3
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_zeros_strictly_increasing_and_above_sqrtE():

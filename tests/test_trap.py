@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from factorsim import spectral, trap
 from factorsim.special import kummer_F, kummer_U
+from factorsim.spectral import SolverError
+from test_spectral import assert_near_reference, cell_of, nan_inside
 
 from factorsim.trap import (
     FLUX_QUANTUM,
@@ -176,8 +179,6 @@ def test_parameter_validation_catches_inconsistency(plan):
 def _reference_trap_wavefunction(rho, e_prime, params, c):
     """The scalar trap psi the array pass replaced, kept as the reference."""
     u = rho / length_scale(params)
-    if u == 0.0:
-        u = 1e-300
     beta = trap_beta(e_prime, params)
     z = -1j * (u * u)
     return (cmath.exp(0.5j * u * u) * (kummer_U(beta, 1.0, z) + c * kummer_F(beta, 1.0, z))).real
@@ -194,3 +195,39 @@ def test_trap_wavefunction_many_equals_scalar_formula(plan, E):
     ref = [_reference_trap_wavefunction(r, ep, p, c) for r in rhos.tolist()]
     assert trap_wavefunction_many(rhos, ep, p, c).tolist() == ref
     assert [trap_wavefunction(r, ep, p, c) for r in rhos[:30].tolist()] == ref[:30]
+
+
+@pytest.mark.parametrize("rho", [0.0, -1e-9])
+def test_trap_wavefunction_rejects_rho_at_or_below_origin(plan, rho):
+    # psi diverges logarithmically at rho = 0, where U(beta, 1, z) is undefined
+    p = plan.params
+    _, ep = to_physical(0.0, 1.0, p)
+    with pytest.raises(ValueError, match="rho"):
+        trap_wavefunction(rho, ep, p)
+    with pytest.raises(ValueError, match="rho"):
+        trap_wavefunction_many(np.array([1e-3, rho]), ep, p)
+
+
+@pytest.mark.parametrize("E", [0.5, 1.0, 3.0])
+def test_trap_zeros_near_bisection_reference(plan, zero_scans, E):
+    zs = trap_wavefunction_zeros(E, math.sqrt(E) + 1e-6, 14.0, plan.params)
+    assert len(zero_scans) == 1 and len(zs) >= 25
+    assert_near_reference(zero_scans)
+
+
+def test_zero_scans_take_few_rounds(zero_scans):
+    # the three scans of fig3 (q_G, the exact and the trap zeros) and the
+    # zero scan of the benchmark: a bisection down to ZERO_XTOL takes ~35
+    zero_match_report(1.0, 1.0, 8.0, plan_trap(N_FIG1, 0.0, 3e-3, "electron").params)
+    spectral.wavefunction_zeros(1.0, 12.0)
+    assert len(zero_scans) == 4
+    assert max(rounds for *_, rounds in zero_scans) <= 12
+
+
+def test_trap_zero_scan_out_of_rounds_raises(plan, monkeypatch):
+    lo, hi = cell_of(spectral.q_grid(4.0, 64.0), 3.8061)  # the second zero at E = 1
+    psi = trap._trap_psi
+    monkeypatch.setattr(trap, "_trap_psi",
+                        lambda beta, us, c: nan_inside(psi(beta, us, c), us, lo, hi))
+    with pytest.raises(SolverError, match=rf"\[{lo!r}, {hi!r}\]"):
+        trap_wavefunction_zeros(1.0, 2.0, 8.0, plan.params)

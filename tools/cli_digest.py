@@ -1,6 +1,6 @@
 """Print one sha256 per CLI output file and per stdout for a fixed run set.
 
-    python3 tools/cli_digest.py [--root CHECKOUT]
+    python3 tools/cli_digest.py [--root CHECKOUT] [--keep DIR]
 
 Each run of the set below executes `python -m factorsim.cli` from the
 `src/` of CHECKOUT (default: the checkout holding this script) in its own
@@ -12,6 +12,12 @@ same CLI outputs, byte for byte, exactly when their listings are equal:
     python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
+With --keep DIR, each run's output files, its stdout (`stdout.txt`) and
+any stderr (`stderr.txt`) are also copied under DIR/<run>/, so the runs
+whose digests differ can be compared field by field:
+
+    python3 tools/cli_digest.py --root OLD --keep old > old.txt
+
 Standard library only. The set takes about fifteen seconds on a 2-core Xeon.
 """
 
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -68,6 +75,8 @@ def main() -> None:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=here, help="checkout whose src/ is run")
+    ap.add_argument("--keep", metavar="DIR",
+                    help="also copy each run's files and output streams under DIR/<run>/")
     args = ap.parse_args()
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(args.root), "src"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,6 +91,12 @@ def main() -> None:
             for fname in sorted(os.listdir(cwd)):
                 with open(os.path.join(cwd, fname), "rb") as fh:
                     print(f"{sha256(fh.read())}  {name}: {fname}")
+            if args.keep:
+                kept = shutil.copytree(cwd, os.path.join(args.keep, name))
+                for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+                    if data or stream == "stdout":
+                        with open(os.path.join(kept, stream + ".txt"), "wb") as fh:
+                            fh.write(data)
 
 
 if __name__ == "__main__":
