@@ -74,12 +74,12 @@ def false_position_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, 
     each bracket [a, b], kept at least xtol/4 inside both ends; x replaces
     the end whose f has its sign. An end kept twice in a row has its f
     halved (the Illinois step), and a lane whose bracket did not halve over
-    its last two rounds takes the midpoint instead, so every three rounds
-    at least halve a bracket. A lane stops with its
-    midpoint once its width is below xtol or no double lies strictly
-    between its ends, and with x where f(x) == 0.0. `capped` flags the
-    lanes still live after 200 rounds (f NaN inside the bracket, say);
-    their root is the midpoint of the last bracket.
+    its last two rounds takes the midpoint instead, so each bracket at
+    least halves in every three rounds. A lane stops with its midpoint once
+    its width is below xtol or no double lies strictly between its ends,
+    and with x where f(x) == 0.0. `capped` flags the lanes still live
+    after 200 rounds (f NaN inside the bracket, say); their root is the
+    midpoint of the last bracket.
     """
     a = np.array(lo, dtype=float, ndmin=1)
     b = np.array(hi, dtype=float, ndmin=1)

@@ -151,6 +151,21 @@ def test_grid_roots_zero_at_last_sample():
     assert grid_zeros(lambda x: x - 1.0, xs, fs, 1e-12) == ([1.0], [])
 
 
+def test_grid_roots_large_q_where_doubles_run_out():
+    # near q = 1e4 neighbouring doubles are 1.8e-12 apart, so a width of
+    # rtol*mid = 1e-12 is never reached; the old 60-halving cap and the 200
+    # of bisect_lanes end on the same pair of doubles
+    root = 1e4 + 1.0 / 3.0
+
+    def f(q):
+        return q - root
+
+    qs = q_grid(9999.0 ** 2, 10001.0 ** 2)
+    fs = [f(q) for q in qs]
+    new = grid_roots(Recorded(f), qs, fs, rtol=1e-16)
+    assert new == ref_q_grid_scan(f, qs, fs) and len(new) == 1 and abs(new[0] - root) < 1e-11
+
+
 def test_grid_zeros_large_q_where_doubles_run_out():
     # near q = 1e4 neighbouring doubles are 1.8e-12 apart, so the width
     # never gets below 1e-12: the lane stops once no double lies between
