@@ -314,36 +314,49 @@ def test_bisect_lanes_scalar_bracket_and_no_lanes():
     assert roots.size == 0 and capped.size == 0
 
 
-def test_grid_roots_lanes_equal_reference():
-    # grid_roots bisects every sign change in one lockstep call; each root
-    # and each cell's evaluation sequence is that of the reference on the cell
+@pytest.mark.parametrize("xtol, rtol", [(1e-9, 0.0), (0.0, 1e-9)])
+def test_bisect_lanes_xtol_rtol_equal_reference(xtol, rtol):
+    # the relative width test is bisect_lanes': lane by lane the roots and
+    # calls of the reference; the absolute one is false_position_lanes',
+    # the zero scans' routine: each root within xtol of the reference
+    fs = [lambda x, c=c: math.sin(x) - c for c in (0.1, -0.4, 0.7, 0.25, 0.9)]
+    lo, hi = [0.0, 3.0, 0.5, 0.1, 1.0], [1.5, 4.0, 1.5, 0.3, 1.4]
+    if rtol:
+        roots, capped, lone, seen, lone_calls, batches = _lanes_both(fs, lo, hi, rtol)
+        assert roots == lone and seen == lone_calls
+    else:
+        roots, capped, seen, batches = _fp_lanes(fs, lo, hi, xtol)
+        ref = [bisect_root(f, a, b, f(a), xtol=xtol) for f, a, b in zip(fs, lo, hi)]
+        assert all(abs(r - t) < xtol for r, t in zip(roots, ref))
+        assert all(a < x < b for c, a, b in zip(seen, lo, hi) for x in c)
+    assert capped == [False] * 5
+    assert len(batches) == max(len(c) for c in seen)  # one f call per round
+
+
+@pytest.mark.parametrize("xtol, rtol", [(1e-12, 0.0), (0.0, 1e-9)])
+def test_grid_roots_lanes_equal_reference(xtol, rtol):
+    # every sign change goes through one lockstep call: at a relative width
+    # grid_roots bisects, each root and each cell's evaluation sequence that
+    # of the reference on the cell; at an absolute width grid_zeros refines
+    # by false position, each zero within ZERO_TOL of the reference
     def f(x):
         return math.cos(3.0 * x) + 0.2
 
     xs = [float(x) for x in np.linspace(0.3, 9.0, 23)]
     fs = [f(x) for x in xs]
-    rec = Recorded(f)
-    got = grid_roots(rec, xs, fs, rtol=1e-9)
     ref, ref_rec = [], Recorded(f)
     for i in range(len(xs) - 1):
         if fs[i] * fs[i + 1] < 0.0:
-            ref.append(bisect_root(ref_rec, xs[i], xs[i + 1], fs[i], rtol=1e-9))
-    assert len(got) >= 6 and got == ref
-    assert by_cell(rec.calls, xs) == by_cell(ref_rec.calls, xs)
-
-
-def test_grid_zeros_lanes_near_reference():
-    # grid_zeros refines every sign change in one lockstep call; each zero
-    # lies within ZERO_TOL of the reference bisection on its cell
-    def f(x):
-        return math.cos(3.0 * x) + 0.2
-
-    xs = [float(x) for x in np.linspace(0.3, 9.0, 23)]
-    fs = [f(x) for x in xs]
-    got, capped = grid_zeros(Recorded(f), xs, fs, 1e-12)
-    ref = [bisect_root(f, xs[i], xs[i + 1], fs[i], xtol=1e-12)
-           for i in range(len(xs) - 1) if fs[i] * fs[i + 1] < 0.0]
-    assert len(got) >= 6 and _near(got, ref) and capped == []
+            ref.append(bisect_root(ref_rec, xs[i], xs[i + 1], fs[i], xtol=xtol, rtol=rtol))
+    rec = Recorded(f)
+    if rtol:
+        got = grid_roots(rec, xs, fs, rtol=rtol)
+        assert got == ref
+        assert by_cell(rec.calls, xs) == by_cell(ref_rec.calls, xs)
+    else:
+        got, capped = grid_zeros(rec, xs, fs, xtol)
+        assert _near(got, ref) and capped == []
+    assert len(got) >= 6
 
 
 def _fp_lanes(fs, lo, hi, xtol):
@@ -366,7 +379,7 @@ def _fp_lanes(fs, lo, hi, xtol):
     return roots.tolist(), capped.tolist(), seen, batches
 
 
-@pytest.mark.parametrize("xtol", [1e-12, 1e-9, 2e-3])
+@pytest.mark.parametrize("xtol", [1e-12, 2e-3])
 def test_false_position_lanes_near_reference(xtol):
     # both brackets end narrower than xtol around the one root of each lane
     fs = [lambda x, c=c: math.sin(x) - c for c in (0.1, -0.4, 0.7, 0.25, 0.9)]
