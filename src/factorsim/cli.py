@@ -108,7 +108,16 @@ def _read_density_csv(path: str):
         header = fh.readline()
         if not header.startswith("bin_E_lo"):
             raise DensityError(f"{path} is not a density CSV")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = []
+        for n, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = line.strip().split(",")
+            if len(row) < 5:
+                raise DensityError(f"{path} line {n}: {len(row)} fields, expected 5")
+            rows.append(row)
+    if not rows:
+        raise DensityError(f"{path} holds no density rows")
     e_lo = sorted({float(r[0]) for r in rows})
     x_lo = sorted({float(r[2]) for r in rows})
     e_edges = np.array(e_lo + [max(float(r[1]) for r in rows)])
@@ -435,14 +444,13 @@ def run(argv=None) -> int:
                     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                         raise _UsageError(f"--config value {value!r} for {key!r}: {exc}") from None
                 setattr(args, name, value)
+        engine = PrimeEngine()
         if args.cmd == "spectrum":
             return _cmd_spectrum(args)
         if args.cmd == "trap":
             return _cmd_trap(args)
         if args.cmd == "fig3":
             return _cmd_zero_match(args, "fig3", 1.0, 8.0, {"E": args.E, "N": args.N})
-        # only the prime-counting commands sieve a table
-        engine = PrimeEngine()
         if args.cmd == "primes":
             return _cmd_primes(args, engine)
         if args.cmd == "ensemble":
@@ -454,7 +462,7 @@ def run(argv=None) -> int:
         if args.cmd == "fig2":
             return _cmd_fig2(args, engine)
         raise _UsageError(f"unknown command {args.cmd}")
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return 1
     except (GaugeError, TrapPlanError, DensityError, PrimeRangeError,

@@ -2,15 +2,15 @@
 
 Everything here is deterministic. Primality uses a fixed Miller-Rabin
 witness set that is exact for all 64-bit inputs; counting uses either a
-segmented bit sieve (up to a configured limit) or the Lucy_Hedgehog
+bit sieve over the odd numbers (up to a configured limit) or the Lucy_Hedgehog
 recurrence (combinatorial, no table, valid far beyond the sieve range).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +19,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-# Odd-number segment size for the sieve, in odds per page (~0.5 MB packed).
-_PAGE_SHIFT = 22
-_PAGE_ODDS = 1 << _PAGE_SHIFT
+# Odds sieved per page (~0.5 MB packed); a page's boolean temporary is 4 MB.
+_PAGE_ODDS = 1 << 22
 
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 # [b, r]: byte b with its bits before (after) bit r cleared, bit 0 being the high bit
 _SHIFTS = 7 - np.arange(8)
 _KEEP_FROM = (np.arange(256)[:, None] % (2 << _SHIFTS)).astype(np.uint8)
@@ -31,7 +29,7 @@ _KEEP_UPTO = ((np.arange(256)[:, None] >> _SHIFTS) << _SHIFTS).astype(np.uint8)
 
 _MAX_INPUT = 1 << 64
 _COMBINATORIAL_LIMIT = 10**12
-_ENGINE_SIEVE_LIMIT = 2_000_000  # first table of a PrimeEngine; it grows on demand
+_ENGINE_SIEVE_LIMIT = 2_000_000  # least table a PrimeEngine sieves
 
 
 class PrimeRangeError(ValueError):
@@ -96,17 +94,16 @@ def _clip_at_zero(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PrimeTable:
-    """Segmented sieve over odd numbers with checkpointed prime counts.
+    """Sieve over odd numbers, packed one bit per odd into one flat table.
 
-    The packed bits of all pages live in one array, padded to whole 64-bit
-    words; `segments[k]` is the view of page k, and `cached_counts[k]` =
-    pi(upper edge of segment k). `pi_many` fills a small per-segment cache
-    of counts per 64-bit word, so queries are not thread-safe.
+    `_packed` holds bit i (high bit first) for the odd 2i + 1, padded to
+    whole 64-bit words; `_counts[w]` is the number of odd primes in the
+    words before word w, built on the first count. Both answer every query:
+    pi from a word's count plus the popcount of its bits up to x, the
+    n-th prime by a search over the counts.
     """
 
     limit: int
-    segments: list = field(default_factory=list, repr=False)
-    cached_counts: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.limit < 3:
@@ -118,40 +115,26 @@ class PrimeTable:
             if base[i]:
                 p = 2 * i + 1
                 base[(p * p - 1) // 2 :: p] = False
-        self._base_primes = 2 * np.nonzero(base)[0] + 1
+        base_primes = 2 * np.nonzero(base)[0] + 1
         n_total_odds = (self.limit - 1) // 2 + 1  # odds 1,3,...,<=limit
         self._packed = np.zeros(((n_total_odds + 63) >> 6) << 3, dtype=np.uint8)
-        count = 1  # the prime 2
-        lo_odd = 1
-        done = 0
-        while done < n_total_odds:
-            n_odds = min(_PAGE_ODDS, n_total_odds - done)
-            page = _sieve_odd_page(lo_odd, n_odds, self._base_primes)
-            count += int(page.sum())
+        # page by page, to bound the boolean temporary of the sieve
+        for done in range(0, n_total_odds, _PAGE_ODDS):
+            page = _sieve_odd_page(2 * done + 1, min(_PAGE_ODDS, n_total_odds - done), base_primes)
             bits = np.packbits(page)
-            segment = self._packed[done >> 3 : (done >> 3) + bits.size]
-            segment[:] = bits
-            self.segments.append(segment)
-            self.cached_counts.append(count)
-            lo_odd += 2 * n_odds
-            done += n_odds
+            self._packed[done >> 3 : (done >> 3) + bits.size] = bits
 
-    def _word_cumsum(self, k: int) -> np.ndarray:
-        """Prime count of the 64-bit words (8 packed bytes) of segment k before
-        each word: entry w counts words 0..w-1, entry 0 is 0.
+    @functools.cached_property
+    def _counts(self) -> np.ndarray:
+        """uint32 count of odd primes before each 64-bit word, and the total
+        of all words last.
 
-        One uint32 per word is half the size of the page it indexes; the
-        16 most recently built are kept.
+        Built on the first count, not with the sieve: an array allocated
+        after the sieve pages are freed keeps them resident.
         """
-        cache = self.__dict__.setdefault("_cum_cache", {})
-        if k not in cache:
-            if len(cache) >= 16:
-                cache.pop(next(iter(cache)))
-            bits = _POPCOUNT8[self.segments[k]]
-            per_word = np.add.reduceat(bits, np.arange(0, bits.size, 8), dtype=np.uint32)
-            cache[k] = np.zeros(per_word.size + 1, dtype=np.uint32)
-            np.cumsum(per_word, out=cache[k][1:])
-        return cache[k]
+        counts = np.zeros(self._packed.size // 8 + 1, dtype=np.uint32)
+        np.cumsum(np.bitwise_count(self._packed.view(np.uint64)), dtype=np.uint32, out=counts[1:])
+        return counts
 
     def pi(self, x: int) -> int:
         """Exact count of primes <= x; a one-element call of `pi_many`."""
@@ -160,9 +143,8 @@ class PrimeTable:
     def pi_many(self, xs: np.ndarray) -> np.ndarray:
         """Exact count of primes <= x for every x of a 1-D int array, as int64.
 
-        Per x: pi at the upper edge of the pages before its own, the cached
-        count of the words of its page before its word, and the popcount of
-        its word's bits up to x.
+        Per x: the prime 2, the count of the words before the word of its
+        last odd, and the popcount of that word's bits up to that odd.
         """
         xs = np.asarray(xs, dtype=np.int64)
         top = max(xs.tolist(), default=0)
@@ -170,21 +152,9 @@ class PrimeTable:
             raise PrimeRangeError(f"pi({top}) beyond table limit {self.limit}")
         idx = _clip_at_zero(xs - 1) >> 1  # odd index of the last odd <= x
         word = idx >> 6  # its 64-bit word in the packed table
-        bit = idx - (word << 6)
-        count = np.zeros(xs.size, dtype=np.int64)
-        for r in range(8):
-            # byte r of the word up to `bit`: a shift by 8 or more keeps nothing
-            count += _POPCOUNT8[self._packed[(word << 3) + r] >> _clip_at_zero(8 * r + 7 - bit)]
-        page = idx >> _PAGE_SHIFT
-        order = np.argsort(page, kind="stable")
-        ends = np.cumsum(np.bincount(page, minlength=len(self.segments))).tolist()
-        start = 0
-        for k, end in enumerate(ends):
-            if end > start:
-                sel = order[start:end]
-                words = self._word_cumsum(k)[word[sel] - (k << (_PAGE_SHIFT - 6))]
-                count[sel] += words.astype(np.int64) + (self.cached_counts[k - 1] if k else 1)
-            start = end
+        # big-endian words, so that bit i of a word is its (63 - i)-th bit
+        head = self._packed.view(">u8")[word] >> (63 - idx + (word << 6)).astype(np.uint64)
+        count = self._counts[word] + np.bitwise_count(head) + 1
         return count * (1 + ((xs - 2) >> 63))  # no prime below 2
 
     def nth_prime(self, n: int) -> int:
@@ -193,20 +163,14 @@ class PrimeTable:
             raise PrimeRangeError("n must be >= 1")
         if n == 1:
             return 2
-        if n > self.cached_counts[-1]:
+        counts = self._counts
+        if n - 1 > counts[-1]:
             raise PrimeRangeError(f"nth_prime({n}) beyond table limit {self.limit}")
-        k = bisect_right(self.cached_counts, n - 1)
-        prev = self.cached_counts[k - 1] if k > 0 else 1
-        # the byte holding the (n - prev)-th set bit of page k, then the bit;
-        # counted afresh, not through the `pi` cache: callers ask for few
-        # primes per table, and a cached page holds 2 MB for the table's life
-        cum = np.cumsum(_POPCOUNT8[self.segments[k]], dtype=np.uint32)
-        rank = n - prev
-        b = int(np.searchsorted(cum, rank))
-        if b > 0:
-            rank -= int(cum[b - 1])
-        bit = int(np.flatnonzero(np.unpackbits(self.segments[k][b : b + 1]))[rank - 1])
-        return 2 * (k * _PAGE_ODDS + 8 * b + bit) + 1
+        # the word holding the (n - 1)-th odd prime, then its bit in that word
+        word = int(np.searchsorted(counts, n - 1)) - 1
+        rank = n - 1 - int(counts[word])
+        bit = int(np.flatnonzero(np.unpackbits(self._packed[8 * word : 8 * word + 8]))[rank - 1])
+        return 2 * (64 * word + bit) + 1
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
         """All primes p with lo <= p <= hi, ascending, as int64; a
@@ -220,8 +184,7 @@ class PrimeTable:
         window, and counts[w] how many belong to window w (0 when hi < lo).
         The packed bytes of every window are gathered at once, the bits of
         each window's end bytes that lie outside it are cleared, and the set
-        bits are unpacked, so the cost is O(sum of hi - lo) whatever the
-        segment size.
+        bits are unpacked, so the cost is O(sum of hi - lo).
         """
         lo = _clip_at_zero(np.asarray(lo, dtype=np.int64))
         hi = np.asarray(hi, dtype=np.int64)
@@ -304,26 +267,29 @@ def prime_pi_lucy(n: int) -> int:
 class PrimeEngine:
     """Front door for prime queries, owning one PrimeTable.
 
-    The table is sieved to 2*10^6 when the engine is built; `ensure_limit`
-    replaces it with one sieved to a larger limit when a query needs it.
+    No table is sieved until a query needs one; `ensure_limit` then sieves
+    one to max(its limit, 2*10^6), and again whenever a query reaches
+    beyond the current table.
     """
 
     def __init__(self):
-        self._table = PrimeTable(_ENGINE_SIEVE_LIMIT)
+        self._table: PrimeTable | None = None
 
     @property
     def table(self) -> PrimeTable:
+        """The current table; the first access sieves it to 2*10^6."""
+        self.ensure_limit(0)
         return self._table
 
     def ensure_limit(self, limit: int) -> None:
-        if limit > self._table.limit:
-            self._table = PrimeTable(limit)
+        if self._table is None or limit > self._table.limit:
+            self._table = PrimeTable(max(limit, _ENGINE_SIEVE_LIMIT))
 
     def pi(self, x: int) -> int:
         """Exact pi(x): the sieve table up to max(its limit, 1e8), Lucy beyond."""
         if x < 0:
             raise PrimeRangeError("pi requires x >= 0")
-        if x > max(self._table.limit, 10**8):
+        if x > 10**8 and (self._table is None or x > self._table.limit):
             return prime_pi_lucy(x)
         self.ensure_limit(x)
         return self._table.pi(x)

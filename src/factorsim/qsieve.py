@@ -615,8 +615,8 @@ class DensityError(RuntimeError):
     pass
 
 
-def _histogram2d(es, xs, e_edges, x_edges, mode, weights=None) -> DensityMap:
-    h, _, _ = np.histogram2d(es, xs, bins=[e_edges, x_edges], weights=weights)
+def _histogram2d(es, xs, e_edges, x_edges, mode) -> DensityMap:
+    h, _, _ = np.histogram2d(es, xs, bins=[e_edges, x_edges])
     total = h.sum()
     if total <= 0:
         raise DensityError("no points fell inside the binning window")

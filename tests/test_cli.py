@@ -23,24 +23,38 @@ def test_primes_subcommands(capsys):
 
 
 def test_spectral_commands_build_no_prime_table(capsys, monkeypatch, tmp_path):
-    """spectrum, trap and fig3 count no primes, so they sieve no table."""
-    from factorsim import cli
+    """spectrum, trap, fig3, primes nearest and sieve compare count no
+    primes, so they sieve no table."""
+    from factorsim import primes
 
-    def no_engine():
-        raise AssertionError("PrimeEngine built")
+    def no_table(limit):
+        raise AssertionError(f"PrimeTable({limit}) built")
 
-    monkeypatch.setattr(cli, "PrimeEngine", no_engine)
+    monkeypatch.setattr(primes, "PrimeTable", no_table)
     for argv in (["spectrum", "zeros", "--E", "1", "--qmax", "3"],
                  ["trap", "plan", "--N", "10969262131"],
-                 ["fig3", "--out", str(tmp_path / "fig3.csv")]):
+                 ["fig3", "--out", str(tmp_path / "fig3.csv")],
+                 ["primes", "nearest", "1000000.5"]):
         code, _, err = _run(capsys, *argv)
         assert code == 0, err
+    density = tmp_path / "map.csv"
+    density.write_text("bin_E_lo,bin_E_hi,bin_x_lo,bin_x_hi,mass\n1,2,3,4,0.25\n1,2,4,5,0.75\n")
+    code, _, err = _run(capsys, "sieve", "compare", "--a", str(density), "--b", str(density))
+    assert code == 0, err
 
 
-def test_usage_error_exit_1(capsys):
+def test_usage_error_exit_1(capsys, tmp_path):
     code, _, err = _run(capsys, "wat")
     assert code == 1
     assert "usage" in err
+    # input files that cannot be read
+    missing = str(tmp_path / "missing")
+    for argv in (["--config", missing, "primes", "pi", "10"],
+                 ["sieve", "invert", "--E", "1.0044", "--N", "10969262131", "--zeros", missing],
+                 ["sieve", "compare", "--a", missing, "--b", missing]):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, "") and json.loads(err)["error"] == "usage"
+        assert "missing" in json.loads(err)["message"]
 
 
 def test_domain_error_exit_2(capsys, tmp_path):
@@ -56,6 +70,16 @@ def test_domain_error_exit_2(capsys, tmp_path):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, "") and json.loads(err)["error"] == "domain"
     assert list(tmp_path.iterdir()) == []
+    # density CSVs with a short row, or with no rows
+    header = "bin_E_lo,bin_E_hi,bin_x_lo,bin_x_hi,mass\n"
+    (tmp_path / "short.csv").write_text(header + "1,2,3,4,0.5\n1,2,3\n")
+    (tmp_path / "header.csv").write_text(header)
+    for bad, what in (("short.csv", "short.csv line 3: 3 fields, expected 5"),
+                      ("header.csv", "header.csv holds no density rows")):
+        code, out, err = _run(capsys, "sieve", "compare", "--a", str(tmp_path / bad),
+                              "--b", str(tmp_path / "short.csv"))
+        assert (code, out) == (2, "") and json.loads(err)["error"] == "domain"
+        assert json.loads(err)["message"].endswith(what)
 
 
 def test_ensemble_csv_and_manifest(tmp_path, capsys):

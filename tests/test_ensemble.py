@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_primes import ref_pi, ref_primes_between
+from test_primes import n_pages, ref_pi, ref_primes_between
 
 from factorsim.ensemble import (
     EnsembleEntry,
@@ -125,7 +125,7 @@ def test_ensemble_arrays_match_per_x_loop():
         n_straddle += straddle
         if j == 1:
             assert got[1].min() == 2
-    assert len(engine.table.segments) == 4
+    assert n_pages(engine.table) == 4
     assert n_empty > 0 and n_straddle > 0
 
 

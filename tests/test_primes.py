@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from factorsim.primes import (
     _PAGE_ODDS,
-    _POPCOUNT8,
     PrimeEngine,
     PrimeRangeError,
     PrimeTable,
@@ -49,28 +48,29 @@ ORACLE_LIMIT = 50_000
 ORACLE_PI = naive_sieve_pi(ORACLE_LIMIT)
 
 
+def n_pages(table: PrimeTable) -> int:
+    """How many sieve pages the table was built in."""
+    return -(-table._packed.size * 8 // _PAGE_ODDS)
+
+
 def ref_pi(table: PrimeTable, x: int) -> int:
-    """PrimeTable.pi before it became a one-element call of `pi_many`, with
-    its inclusive per-word cumulative count built afresh."""
+    """PrimeTable.pi counted from the packed bits alone: the popcount of the
+    64-bit words before the word of the last odd <= x, then of that word's
+    bytes up to it."""
     if x < 2:
         return 0
     idx = (x - 1) // 2 if x % 2 else (x - 2) // 2  # last odd <= x
-    k, off = divmod(idx, _PAGE_ODDS)
-    nbyte, nbit = divmod(off, 8)
+    nbyte, nbit = divmod(idx, 8)
     word = nbyte >> 3
-    bits = _POPCOUNT8[table.segments[k]]
-    cum = np.cumsum(np.add.reduceat(bits, np.arange(0, bits.size, 8), dtype=np.uint32))
-    count = 1 + (int(cum[word - 1]) if word > 0 else 0)
-    head = table.segments[k][8 * word : nbyte + 1].tobytes()
+    count = 1 + int(np.bitwise_count(table._packed[: 8 * word]).sum())
+    head = table._packed[8 * word : nbyte + 1].tobytes()
     count += bin(int.from_bytes(head, "big") >> (7 - nbit)).count("1")
-    if k > 0:
-        count += table.cached_counts[k - 1] - 1
     return count
 
 
 def ref_primes_between(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     """PrimeTable.primes_between before it became a one-element call of
-    `primes_between_many`: the packed bytes of each page in turn."""
+    `primes_between_many`: the packed bytes of each sieve page in turn."""
     if hi < lo:
         return np.empty(0, dtype=np.int64)
     out = []
@@ -80,10 +80,11 @@ def ref_primes_between(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     i_hi = (hi - 1) // 2
     for k in range(i_lo // _PAGE_ODDS, i_hi // _PAGE_ODDS + 1):
         base = k * _PAGE_ODDS
+        page = table._packed[base >> 3 : (base + _PAGE_ODDS) >> 3]
         off_lo = max(i_lo - base, 0)
         off_hi = min(i_hi - base, _PAGE_ODDS - 1)
         b_lo = off_lo >> 3
-        bits = np.unpackbits(table.segments[k][b_lo : (off_hi >> 3) + 1])
+        bits = np.unpackbits(page[b_lo : (off_hi >> 3) + 1])
         bits = bits[off_lo - 8 * b_lo : off_hi - 8 * b_lo + 1]
         offs = np.nonzero(bits)[0].astype(np.int64)
         out.append(2 * (base + off_lo + offs) + 1)
@@ -203,18 +204,37 @@ def test_pi_word_counts_against_lucy():
 
 
 def test_nth_prime_across_pages():
+    """nth_prime and pi across the page edge, at the first and last prime of
+    64-bit words (64 odds) and of bytes (8 odds), and in the table's last
+    word, whose bits past the limit are padding."""
     table = PrimeTable(9_000_000)  # two sieve pages
-    assert len(table.cached_counts) == 2
+    assert n_pages(table) == 2
+    assert table._packed.size * 8 - (table.limit + 1) // 2 == 32  # padded odds
     primes = table.primes_between(0, table.limit)
-    assert len(primes) == table.cached_counts[-1]
-    first = table.cached_counts[0]
+    assert len(primes) == ref_pi(table, table.limit)
+    first = ref_pi(table, 2 * _PAGE_ODDS - 1)  # primes of the first page, and 2
     ns = [1, 2, 3, 4, 5, 8, 9, 10, 1000, first - 1, first, first + 1, first + 2,
           len(primes) - 1, len(primes)]
+    odd = (primes[1:] - 1) // 2  # odd index of each odd prime
+    for shift in (6, 3):  # words, then bytes
+        # n of the first odd prime of a word (byte), and of the last one before it
+        edge = np.flatnonzero(np.diff(odd >> shift)) + 3
+        ns += edge[:4].tolist() + edge[-4:].tolist()
+        ns += (edge[:4] - 1).tolist() + (edge[-4:] - 1).tolist()
+    last_word = odd[-1] >> 6
+    assert last_word == ((table.limit - 1) // 2) >> 6
+    ns += (np.flatnonzero(odd >> 6 == last_word) + 2).tolist()
     for n in ns:
         assert table.nth_prime(n) == primes[n - 1], n
     rng = np.random.default_rng(5)
     for n in rng.integers(1, len(primes) + 1, size=50):
         assert table.nth_prime(int(n)) == primes[n - 1]
+    with pytest.raises(PrimeRangeError, match="beyond table limit"):
+        table.nth_prime(len(primes) + 1)
+    # pi beside each of those primes, and at every x of the last two words
+    xs = np.concatenate([(primes[np.array(ns) - 1, None] + np.arange(-1, 2)).ravel(),
+                         np.arange(128 * last_word - 127, table.limit + 1)])
+    assert table.pi_many(xs).tolist() == np.searchsorted(primes, xs, side="right").tolist()
 
 
 def test_primes_between(engine):
@@ -269,11 +289,16 @@ def test_primes_between_many_matches_reference():
     assert none.size == 0 and counts.size == 0
 
 
-def test_engine_table_built_at_construction():
+def test_engine_table_built_on_first_count():
     engine = PrimeEngine()
-    table = engine.table
-    assert table.limit == 2_000_000 and len(table.segments) == 1
+    assert engine._table is None
+    assert engine.nearest_prime(1_000_000.5) == 1_000_003  # Miller-Rabin, no table
+    assert engine._table is None
+    assert engine.pi(101) == 26
+    table = engine._table
+    assert table.limit == 2_000_000 and n_pages(table) == 1
     engine.ensure_limit(1_000_000)
     assert engine.table is table
     assert engine.pi(2_000_003) == 148_934  # pi(2_000_003) = pi(2*10^6) + 1
     assert engine.table.limit == 2_000_003 and engine.table is not table
+    assert PrimeEngine().table.limit == 2_000_000  # the first access sieves it

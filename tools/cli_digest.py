@@ -63,6 +63,9 @@ RUNS = [
                             "--x-max", "200", "--out", "ens.csv"]),
     ("primes-nth", ["primes", "nth", "700000"]),
     ("primes-pi", ["primes", "pi", "1000000"]),
+    # the largest table `PrimeEngine.pi` sieves, and the first x it leaves to Lucy
+    ("primes-pi-1e8", ["primes", "pi", "100000000"]),
+    ("primes-pi-lucy", ["primes", "pi", "100000001"]),
     ("primes-nearest", ["primes", "nearest", "1000000.5"]),
 ]
 
