@@ -92,15 +92,14 @@ def _g(v) -> str:
 
 
 def _density_csv(dm) -> str:
-    rows = []
-    for i in range(dm.mass.shape[0]):
-        for k in range(dm.mass.shape[1]):
-            rows.append([
-                _g(dm.e_edges[i]), _g(dm.e_edges[i + 1]),
-                _g(dm.x_edges[k]), _g(dm.x_edges[k + 1]),
-                _g(dm.mass[i, k]),
-            ])
+    e = [_g(v) for v in dm.e_edges.tolist()]
+    x = [_g(v) for v in dm.x_edges.tolist()]
+    rows = [[e[i], e[i + 1], x[k], x[k + 1], _g(m)]
+            for i, masses in enumerate(dm.mass.tolist()) for k, m in enumerate(masses)]
     return _csv(rows, ["bin_E_lo", "bin_E_hi", "bin_x_lo", "bin_x_hi", "mass"])
+
+
+_MASS_SUM_TOL = 1e-9  # a density CSV's 12-digit masses sum to 1 within about 1e-12
 
 
 def _read_density_csv(path: str):
@@ -109,24 +108,37 @@ def _read_density_csv(path: str):
         if not header.startswith("bin_E_lo"):
             raise DensityError(f"{path} is not a density CSV")
         rows = []
+        line_of = {}  # (E_lo, x_lo) -> the line that holds that bin
         for n, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             row = line.strip().split(",")
             if len(row) < 5:
                 raise DensityError(f"{path} line {n}: {len(row)} fields, expected 5")
+            try:
+                row = [float(v) for v in row[:5]]
+            except ValueError as exc:
+                raise DensityError(f"{path} line {n}: {exc}") from None
+            first = line_of.setdefault((row[0], row[2]), n)
+            if first != n:
+                raise DensityError(f"{path} line {n}: bin (E_lo, x_lo) = ({row[0]!r}, "
+                                   f"{row[2]!r}) repeats line {first}")
             rows.append(row)
     if not rows:
         raise DensityError(f"{path} holds no density rows")
-    e_lo = sorted({float(r[0]) for r in rows})
-    x_lo = sorted({float(r[2]) for r in rows})
-    e_edges = np.array(e_lo + [max(float(r[1]) for r in rows)])
-    x_edges = np.array(x_lo + [max(float(r[3]) for r in rows)])
+    total = sum(r[4] for r in rows)
+    if not abs(total - 1.0) <= _MASS_SUM_TOL:
+        raise DensityError(f"{path} lines 2-{n}: masses sum to {total!r}, "
+                           f"expected 1 within {_MASS_SUM_TOL:g}")
+    e_lo = sorted({r[0] for r in rows})
+    x_lo = sorted({r[2] for r in rows})
+    e_edges = np.array(e_lo + [max(r[1] for r in rows)])
+    x_edges = np.array(x_lo + [max(r[3] for r in rows)])
     mass = np.zeros((len(e_lo), len(x_lo)))
     e_idx = {v: i for i, v in enumerate(e_lo)}
     x_idx = {v: i for i, v in enumerate(x_lo)}
     for r in rows:
-        mass[e_idx[float(r[0])], x_idx[float(r[2])]] = float(r[4])
+        mass[e_idx[r[0]], x_idx[r[2]]] = r[4]
     return DensityMap(e_edges=e_edges, x_edges=x_edges, mass=mass,
                       mode="file", points=len(rows))
 

@@ -67,8 +67,9 @@ def ensemble_arrays(j: int, x_lo: Optional[int], x_hi: Optional[int],
                     engine: PrimeEngine) -> tuple[np.ndarray, ...]:
     """Columns (x, y, pix, piy) of the j-ensemble with x in [x_lo, x_hi].
 
-    int64 arrays sorted by (N, x); None leaves a side of the window at
-    its natural bound (2 or p_j). No y exceeds (N_hi - 1) // x_lo,
+    int64 arrays in the order they are read: x ascending, then y
+    ascending for each x. None leaves a side of the window at its
+    natural bound (2 or p_j). No y exceeds (N_hi - 1) // x_lo,
     so one sieve table covers the y-side, and every prime x's y-window
     [ceil(N_lo/x), (N_hi - 1)//x] is read from it in one pass
     (`PrimeTable.primes_between_many`). pi(y) is one array `pi_many` at
@@ -88,14 +89,12 @@ def ensemble_arrays(j: int, x_lo: Optional[int], x_hi: Optional[int],
         engine.ensure_limit(y_max)
     except (MemoryError, OverflowError) as exc:
         raise PrimeRangeError(f"y-side bound {y_max} too large to sieve") from exc
-    x, y, pix, piy = _pair_columns(engine.table, x_lo, x_hi, n_lo, n_hi)
-    order = np.lexsort((x, x * y))
-    return x[order], y[order], pix[order], piy[order]
+    return _pair_columns(engine.table, x_lo, x_hi, n_lo, n_hi)
 
 
 def _pair_columns(table: PrimeTable, x_lo: int, x_hi: int, n_lo: int, n_hi: int):
-    """Unsorted (x, y, pix, piy) of every prime x in [x_lo, x_hi] and prime
-    y in its window; the read's temporaries die with this call."""
+    """(x, y, pix, piy) of every prime x in [x_lo, x_hi] and prime y in its
+    window, x-major; the read's temporaries die with this call."""
     xs = table.primes_between(x_lo, x_hi)
     # y runs from ceil(N_lo/x), already >= p_j >= x, to (N_hi - 1)//x;
     # np.divmod, not //, for the reason in primes._clip_at_zero
@@ -113,9 +112,11 @@ def enumerate_ensemble(query: EnsembleQuery, engine: PrimeEngine) -> list[Ensemb
 
     Sorted by N then x. The pairs and their pi values come from
     `ensemble_arrays`, which reads both factors off one sieve table; this
-    wrapper adds the exact rationals.
+    wrapper sorts them and adds the exact rationals.
     """
     x, y, pix, piy = ensemble_arrays(query.j, query.x_min, query.x_max, engine)
+    order = np.lexsort((x, x * y))
+    x, y, pix, piy = x[order], y[order], pix[order], piy[order]
     j = query.j
     return [
         EnsembleEntry(

@@ -19,8 +19,26 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-# Odds sieved per page (~0.5 MB packed); a page's boolean temporary is 4 MB.
-_PAGE_ODDS = 1 << 22
+# Odds sieved per page: a 1 MB boolean page, which stays in cache while
+# every base prime strikes it (Bays & Hudson, BIT 17 (1977) 121).
+_PAGE_ODDS = 1 << 20
+
+# Wheel pre-sieve (Pritchard, CACM 24 (1981) 18): _WHEEL[i] is whether the
+# odd 2i + 1 is prime to every wheel prime, and the pattern repeats with
+# period _WHEEL_ODDS odds, so a page starts from it and strikes only the
+# base primes above the wheel.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_ODDS = 3 * 5 * 7 * 11 * 13
+
+
+def _wheel() -> np.ndarray:
+    wheel = np.ones(_WHEEL_ODDS, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        wheel[(p - 1) // 2 :: p] = False  # the odds 2i + 1 divisible by p
+    return wheel
+
+
+_WHEEL = _wheel()
 
 # [b, r]: byte b with its bits before (after) bit r cleared, bit 0 being the high bit
 _SHIFTS = 7 - np.arange(8)
@@ -65,9 +83,10 @@ def is_prime(n: int) -> bool:
 
 def _sieve_odd_page(lo_odd: int, n_odds: int, base_primes: np.ndarray) -> np.ndarray:
     """Boolean array over odds lo_odd, lo_odd+2, ... marking primes."""
-    page = np.ones(n_odds, dtype=bool)
+    first = (lo_odd // 2) % _WHEEL_ODDS  # the page's first odd in the wheel
+    page = np.tile(_WHEEL, (first + n_odds - 1) // _WHEEL_ODDS + 1)[first : first + n_odds]
     hi = lo_odd + 2 * n_odds
-    for p in base_primes:
+    for p in base_primes[len(_WHEEL_PRIMES) :]:  # the base primes above the wheel
         p = int(p)
         if p * p >= hi:
             break
@@ -78,7 +97,8 @@ def _sieve_odd_page(lo_odd: int, n_odds: int, base_primes: np.ndarray) -> np.nda
             continue
         page[(start - lo_odd) // 2 :: p] = False
     if lo_odd == 1:
-        page[0] = False  # 1 is not prime
+        page[0] = False  # 1 is not prime; the wheel primes are
+        page[[(p - 1) // 2 for p in _WHEEL_PRIMES if p < hi]] = True
     return page
 
 

@@ -615,9 +615,34 @@ class DensityError(RuntimeError):
     pass
 
 
+def _uniform_bins(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each v inside [edges[0], edges[-1]] for uniform (linspace)
+    edges: bin i holds edges[i] <= v < edges[i + 1], the last bin also
+    edges[-1], as in np.histogram2d.
+
+    The bin is computed by arithmetic, then moved by one where rounding
+    left v below edges[i] or at or above edges[i + 1] (np.histogram's rule
+    for uniform bins), so no edge is searched.
+    """
+    n = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    i = ((v - lo) / (hi - lo) * n).astype(np.intp)
+    i[i == n] = n - 1
+    i[v < edges[i]] -= 1
+    i[(v >= edges[i + 1]) & (i != n - 1)] += 1
+    return i
+
+
 def _histogram2d(es, xs, e_edges, x_edges, mode) -> DensityMap:
-    h, _, _ = np.histogram2d(es, xs, bins=[e_edges, x_edges])
-    total = h.sum()
+    """np.histogram2d(es, xs, bins=[e_edges, x_edges]), normalized; both
+    edge arrays are uniform."""
+    e, x = np.asarray(es, dtype=float), np.asarray(xs, dtype=float)
+    inside = (e >= e_edges[0]) & (e <= e_edges[-1]) & (x >= x_edges[0]) & (x <= x_edges[-1])
+    e, x = e[inside], x[inside]
+    nx = x_edges.size - 1
+    cell = _uniform_bins(e, e_edges) * nx + _uniform_bins(x, x_edges)
+    h = np.bincount(cell, minlength=(e_edges.size - 1) * nx).reshape(-1, nx)
+    total = int(h.sum())
     if total <= 0:
         raise DensityError("no points fell inside the binning window")
     return DensityMap(e_edges=e_edges, x_edges=x_edges, mass=h / total,

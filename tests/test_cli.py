@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from factorsim import qsieve, spectral
+from factorsim import cli, qsieve, spectral
 from factorsim.cli import run
 
 
@@ -70,16 +71,31 @@ def test_domain_error_exit_2(capsys, tmp_path):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, "") and json.loads(err)["error"] == "domain"
     assert list(tmp_path.iterdir()) == []
-    # density CSVs with a short row, or with no rows
+    # density CSVs with a short row, no rows, a field that is not a number,
+    # a bin given twice, or masses that do not sum to 1
     header = "bin_E_lo,bin_E_hi,bin_x_lo,bin_x_hi,mass\n"
     (tmp_path / "short.csv").write_text(header + "1,2,3,4,0.5\n1,2,3\n")
     (tmp_path / "header.csv").write_text(header)
+    (tmp_path / "text.csv").write_text(header + "1,2,3,4,0.5\n1,2,abc,5,0.5\n")
+    (tmp_path / "twice.csv").write_text(header + "1,2,3,4,0.5\n1,2,4,5,0.25\n"
+                                        "1,2,3,4,0.25\n")
+    (tmp_path / "sum.csv").write_text(header + "1,2,3,4,0.5\n1,2,4,5,0.500000001\n")
     for bad, what in (("short.csv", "short.csv line 3: 3 fields, expected 5"),
-                      ("header.csv", "header.csv holds no density rows")):
+                      ("header.csv", "header.csv holds no density rows"),
+                      ("text.csv", "text.csv line 3: could not convert string to float: 'abc'"),
+                      ("twice.csv", "twice.csv line 4: bin (E_lo, x_lo) = (1.0, 3.0) "
+                                    "repeats line 2"),
+                      ("sum.csv", "sum.csv lines 2-3: masses sum to 1.000000001, "
+                                  "expected 1 within 1e-09")):
         code, out, err = _run(capsys, "sieve", "compare", "--a", str(tmp_path / bad),
                               "--b", str(tmp_path / "short.csv"))
         assert (code, out) == (2, "") and json.loads(err)["error"] == "domain"
         assert json.loads(err)["message"].endswith(what)
+    # masses within 1e-9 of 1 are read
+    (tmp_path / "near.csv").write_text(header + "1,2,3,4,0.5\n1,2,4,5,0.5000000009\n")
+    code, _, err = _run(capsys, "sieve", "compare", "--a", str(tmp_path / "near.csv"),
+                        "--b", str(tmp_path / "near.csv"))
+    assert code == 0, err
 
 
 def test_ensemble_csv_and_manifest(tmp_path, capsys):
@@ -182,6 +198,49 @@ def test_sieve_compare_roundtrip(tmp_path, capsys):
     self_metrics = json.loads(out)
     assert self_metrics["rank_correlation"] == pytest.approx(1.0)
     assert self_metrics["overlap"] == pytest.approx(1.0)
+
+
+def test_fig2_csv_compared_with_itself(tmp_path, capsys):
+    """Both maps of a fig2 run, each compared with itself: overlap 1, rank
+    correlation 1, divergence 0."""
+    prefix = str(tmp_path / "f2")
+    code, _, err = _run(capsys, "fig2", "--j", "1000", "--N", "62773913", "--T", "30",
+                        "--samples", "4", "--seed", "2", "--bins", "9", "--out-prefix", prefix)
+    assert code == 0, err
+    for tag in ("quantum", "classical"):
+        path = f"{prefix}_{tag}.csv"
+        code, out, err = _run(capsys, "sieve", "compare", "--a", path, "--b", path)
+        assert code == 0, err
+        metrics = json.loads(out)
+        assert metrics["overlap"] == pytest.approx(1.0, rel=0.0, abs=1e-9), tag
+        assert metrics["rank_correlation"] == pytest.approx(1.0), tag
+        assert metrics["jensen_shannon"] == 0.0, tag
+
+
+def ref_density_csv(dm) -> str:
+    """cli._density_csv before it formatted each edge once: every field of
+    every cell through _g of the NumPy scalar."""
+    rows = []
+    for i in range(dm.mass.shape[0]):
+        for k in range(dm.mass.shape[1]):
+            rows.append([
+                cli._g(dm.e_edges[i]), cli._g(dm.e_edges[i + 1]),
+                cli._g(dm.x_edges[k]), cli._g(dm.x_edges[k + 1]),
+                cli._g(dm.mass[i, k]),
+            ])
+    return cli._csv(rows, ["bin_E_lo", "bin_E_hi", "bin_x_lo", "bin_x_hi", "mass"])
+
+
+def test_density_csv_equals_per_cell_reference():
+    """Seeded maps, with empty cells and edges of 12 and more digits."""
+    rng = np.random.default_rng(4)
+    for n_e, n_x in ((1, 1), (3, 7), (40, 40), (13, 2)):
+        mass = rng.random((n_e, n_x)) * (rng.random((n_e, n_x)) < 0.7)
+        mass[0, 0] += 1.0
+        dm = qsieve.DensityMap(e_edges=np.linspace(1.0, rng.uniform(1.1, 9.0), n_e + 1),
+                               x_edges=np.linspace(rng.uniform(2.0, 900.0), 104731.9, n_x + 1),
+                               mass=mass / mass.sum(), mode="classical", points=n_e * n_x)
+        assert cli._density_csv(dm) == ref_density_csv(dm), (n_e, n_x)
 
 
 def test_trap_plan_json(capsys):

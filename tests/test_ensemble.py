@@ -73,8 +73,8 @@ def test_energy_rejects_composite(engine):
 
 def ref_ensemble_arrays(j, x_lo, x_hi, engine):
     """ensemble_arrays before its one-pass read: one window read and one pi
-    per prime x, through the old per-window bodies. Also returns how many
-    windows were empty and how many straddled a sieve page edge."""
+    per prime x, through the old per-window bodies, x-major. Also returns how
+    many windows were empty and how many straddled a sieve page edge."""
     n_lo, n_hi = ensemble_bounds(j, engine)
     pj = math.isqrt(n_lo)
     x_lo = max(2, x_lo or 2)
@@ -99,21 +99,20 @@ def ref_ensemble_arrays(j, x_lo, x_hi, engine):
         cols[1].append(ys)
         cols[2].append(np.full(ys.size, pix0 + 1 + i, dtype=np.int64))
         cols[3].append(ref_pi(table, y_start - 1) + 1 + np.arange(ys.size, dtype=np.int64))
-    x, y, pix, piy = (np.concatenate(c) for c in cols)
-    order = np.lexsort((x, x * y))
-    return (x[order], y[order], pix[order], piy[order]), n_empty, n_straddle
+    return tuple(np.concatenate(c) for c in cols), n_empty, n_straddle
 
 
 def test_ensemble_arrays_match_per_x_loop():
-    """The one-pass read equals the per-x loop array for array: j = 1 (where
-    y = 2 occurs), small j, j = 1000 on a 4-page table, j = 971 whose y-window
-    of x = 7 crosses the first page edge, x_min/x_max windows, and windows
-    with no y."""
+    """The one-pass read equals the per-x loop array for array, x-major: j = 1
+    (where y = 2 occurs), small j, j = 563 on a 4-page table, j = 531 whose
+    y-window of x = 7 crosses the first page edge, x_min/x_max windows, and
+    windows with no y. `enumerate_ensemble` holds the same pairs in (N, x)
+    order."""
     engine = PrimeEngine()
     cases = [(1, None, None), (2, None, None), (3, None, None), (12, None, None),
              (50, None, None), (12, 5, None), (12, None, 20), (50, 40, 200), (50, 200, 40),
-             (50, 230, None), (200, 7, 7), (1000, None, None), (1000, 3000, 3100),
-             (971, None, None), (971, 5, 11)]
+             (50, 230, None), (200, 7, 7), (563, None, None), (563, 3000, 3100),
+             (531, None, None), (531, 5, 11)]
     n_empty = n_straddle = 0
     for j, x_lo, x_hi in cases:
         got = ensemble_arrays(j, x_lo, x_hi, engine)
@@ -121,6 +120,12 @@ def test_ensemble_arrays_match_per_x_loop():
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == np.int64
             assert np.array_equal(a, b), (j, x_lo, x_hi)
+        x, y, pix, piy = want
+        order = np.lexsort((x, x * y))
+        entries = enumerate_ensemble(EnsembleQuery(j=j, x_min=x_lo, x_max=x_hi), engine)
+        assert [(e.x, e.y, e.pix, e.piy) for e in entries] == \
+            list(zip(x[order].tolist(), y[order].tolist(), pix[order].tolist(),
+                     piy[order].tolist())), (j, x_lo, x_hi)
         n_empty += empty
         n_straddle += straddle
         if j == 1:

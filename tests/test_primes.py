@@ -29,13 +29,19 @@ def trial_division(n: int) -> bool:
     return True
 
 
-def naive_sieve_pi(limit: int) -> list:
-    """Counting oracle: plain Eratosthenes, cumulative pi."""
+def naive_flags(limit: int) -> bytearray:
+    """Plain Eratosthenes: flags[n] is 1 exactly when n <= limit is prime."""
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
+    return flags
+
+
+def naive_sieve_pi(limit: int) -> list:
+    """Counting oracle: plain Eratosthenes, cumulative pi."""
+    flags = naive_flags(limit)
     out = [0] * (limit + 1)
     c = 0
     for i in range(limit + 1):
@@ -46,6 +52,13 @@ def naive_sieve_pi(limit: int) -> list:
 
 ORACLE_LIMIT = 50_000
 ORACLE_PI = naive_sieve_pi(ORACLE_LIMIT)
+
+
+def plain_sieve_packed(limit: int) -> np.ndarray:
+    """PrimeTable(limit)._packed from a plain Eratosthenes over 0..limit: the
+    flag of each odd 2i + 1, high bit first, padded to whole 64-bit words."""
+    odd = np.frombuffer(bytes(naive_flags(limit)), dtype=np.uint8)[1::2]
+    return np.packbits(np.concatenate([odd, np.zeros(-odd.size % 64, dtype=np.uint8)]))
 
 
 def n_pages(table: PrimeTable) -> int:
@@ -181,10 +194,22 @@ def test_sieve_vs_combinatorial(engine):
     assert engine.pi(54321) == prime_pi_lucy(54321)
 
 
+def test_packed_equals_plain_sieve():
+    """The wheel-started pages equal a plain sieve bit for bit: every limit
+    in 3..200, limits around 15015 = 3*5*7*11*13 and around 30030, where the
+    wheel's period of 15015 odds ends, and limits at the first odd of the
+    second and third pages and at the odd before each."""
+    limits = list(range(3, 201))
+    limits += [15015 * k + d for k in (1, 2) for d in range(-2, 3)]
+    limits += [2 * k * _PAGE_ODDS + d for k in (1, 2) for d in (-1, 1)]
+    for limit in limits:
+        assert np.array_equal(PrimeTable(limit)._packed, plain_sieve_packed(limit)), limit
+
+
 def test_pi_word_counts_against_lucy():
     """pi from the per-word counts plus the popcount of the bytes left, at
     the page edge, at word (64 odds) and byte (8 odds) edges, and at seeded x."""
-    table = PrimeTable(9_000_000)  # two sieve pages
+    table = PrimeTable(3_000_000)  # two sieve pages
     page_edge = 2 * _PAGE_ODDS + 1  # first odd of the second page
     xs = [page_edge + d for d in range(-5, 6)] + [table.limit - 1, table.limit]
     for first_odd in (1, 129, 1025, 2 * 64 * 1000 + 1, page_edge + 128, page_edge + 16 * 777):
@@ -207,7 +232,7 @@ def test_nth_prime_across_pages():
     """nth_prime and pi across the page edge, at the first and last prime of
     64-bit words (64 odds) and of bytes (8 odds), and in the table's last
     word, whose bits past the limit are padding."""
-    table = PrimeTable(9_000_000)  # two sieve pages
+    table = PrimeTable(3_000_000)  # two sieve pages
     assert n_pages(table) == 2
     assert table._packed.size * 8 - (table.limit + 1) // 2 == 32  # padded odds
     primes = table.primes_between(0, table.limit)

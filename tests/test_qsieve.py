@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from factorsim import qsieve, spectral
-from factorsim.ensemble import EnsembleQuery, enumerate_ensemble
+from factorsim.ensemble import EnsembleQuery, ensemble_arrays, enumerate_ensemble
 from factorsim.primes import PrimeTable
 from factorsim.qsieve import (
     DEFAULT_G_GRID,
@@ -512,6 +512,40 @@ def test_density_map_classical_matches_exact_rationals(engine):
     h, _, _ = np.histogram2d([float(e.E) for e in entries], [float(e.x) for e in entries],
                              bins=[dm.e_edges, dm.x_edges])
     assert dm.points == len(entries)
+    assert np.array_equal(dm.mass, h / h.sum())
+
+
+def edge_samples(edges: np.ndarray) -> np.ndarray:
+    """Every edge, the floats one ulp below and above it, and points
+    outside the window."""
+    lo, hi = edges[0], edges[-1]
+    outside = [lo - 1.0, hi + 1.0, 2 * lo - hi, 2 * hi - lo, -np.inf, np.inf]
+    return np.concatenate([edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf), outside])
+
+
+def test_histogram2d_equals_numpy_at_edges(engine):
+    """Arithmetic bins count as np.histogram2d for samples on, one ulp off
+    and outside every edge of seeded uniform binnings, and on the desk
+    j = 10000 classical map."""
+    rng = np.random.default_rng(15)
+    for _ in range(12):
+        n_e, n_x = (int(n) for n in rng.integers(1, 60, size=2))
+        e_lo, x_lo = rng.uniform(0.5, 2.0), rng.uniform(1.0, 2000.0)
+        e_edges = np.linspace(e_lo, e_lo + rng.uniform(0.1, 9.0), n_e + 1)
+        x_edges = np.linspace(x_lo, x_lo * rng.uniform(1.5, 200.0), n_x + 1)
+        es, xs = (g.ravel() for g in np.meshgrid(edge_samples(e_edges), edge_samples(x_edges)))
+        es = np.concatenate([es, rng.uniform(e_edges[0], e_edges[-1], 2000)])
+        xs = np.concatenate([xs, rng.uniform(x_edges[0], x_edges[-1], 2000)])
+        dm = qsieve._histogram2d(es, xs, e_edges, x_edges, "classical")
+        h, _, _ = np.histogram2d(es, xs, bins=[e_edges, x_edges])
+        assert dm.points == es.size
+        assert np.array_equal(dm.mass, h / h.sum())
+    dm = density_map(N_FIG1, 10000, "classical", engine)
+    x_lo = make_gauge(N_FIG1, 0.0, engine, j=10000).B_G
+    x, _, pix, piy = ensemble_arrays(10000, x_lo, None, engine)
+    h, _, _ = np.histogram2d((pix * piy) / 1e8, x.astype(float), bins=[dm.e_edges, dm.x_edges])
+    assert dm.points == x.size and h.sum() < x.size  # some E lie beyond E_MAX_DEFAULT
     assert np.array_equal(dm.mass, h / h.sum())
 
 

@@ -18,7 +18,7 @@ whose digests differ can be compared field by field:
 
     python3 tools/cli_digest.py --root OLD --keep old > old.txt
 
-Standard library only. The set takes about fifteen seconds on a 2-core Xeon.
+Standard library only. The set takes about ten seconds on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ RUNS = [
               "--out", "fig1.csv", "--svg"]),
     ("fig2", ["fig2", "--j", "10000", "--T", "100", "--seed", "42", "--samples", "8",
               "--out-prefix", "fig2"]),
+    # a binning other than the default 40 x 40
+    ("fig2-bins7", ["fig2", "--j", "10000", "--T", "100", "--seed", "3", "--samples", "8",
+                    "--bins", "7", "--out-prefix", "fig2"]),
     ("fig3", ["fig3", "--out", "fig3.csv", "--svg"]),
     # away from E = 1, both scans cross every regime of F and U in both families
     ("fig3-E2.5", ["fig3", "--E", "2.5", "--out", "fig3.csv", "--svg"]),
@@ -63,6 +66,10 @@ RUNS = [
                             "--x-max", "200", "--out", "ens.csv"]),
     ("primes-nth", ["primes", "nth", "700000"]),
     ("primes-pi", ["primes", "pi", "1000000"]),
+    # 2^21 + 1, the first odd of the second 2^20-odd sieve page
+    ("primes-pi-page2", ["primes", "pi", "2097153"]),
+    # a table of many sieve pages
+    ("primes-nth-2e6", ["primes", "nth", "2000000"]),
     # the largest table `PrimeEngine.pi` sieves, and the first x it leaves to Lucy
     ("primes-pi-1e8", ["primes", "pi", "100000000"]),
     ("primes-pi-lucy", ["primes", "pi", "100000001"]),
