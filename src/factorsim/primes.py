@@ -48,6 +48,7 @@ _KEEP_UPTO = ((np.arange(256)[:, None] >> _SHIFTS) << _SHIFTS).astype(np.uint8)
 _MAX_INPUT = 1 << 64
 _COMBINATORIAL_LIMIT = 10**12
 _ENGINE_SIEVE_LIMIT = 2_000_000  # least table a PrimeEngine sieves
+PI_LOWER_BOUND_FROM = 88_789  # least y for which `pi_lower_bound` holds
 
 
 class PrimeRangeError(ValueError):
@@ -79,6 +80,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def pi_lower_bound(y: np.ndarray) -> np.ndarray:
+    """y/ln y (1 + 1/ln y + 2/ln^2 y) <= pi(y) for y >= PI_LOWER_BOUND_FROM
+    (P. Dusart, arXiv:1002.0442), for a float array y."""
+    L = np.log(y)
+    return y / L * (1.0 + 1.0 / L + 2.0 / (L * L))
 
 
 def _sieve_odd_page(lo_odd: int, n_odds: int, base_primes: np.ndarray) -> np.ndarray:

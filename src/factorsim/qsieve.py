@@ -26,7 +26,7 @@ import numpy as np
 
 from . import spectral
 from .ensemble import ensemble_arrays
-from .primes import PrimeEngine
+from .primes import PI_LOWER_BOUND_FROM, PrimeEngine, pi_lower_bound
 from .roots import bisect_lanes, grid_roots
 
 E_MAX_DEFAULT = 9.0 / 8.0
@@ -649,6 +649,21 @@ def _histogram2d(es, xs, e_edges, x_edges, mode) -> DensityMap:
                       mode=mode, points=len(es))
 
 
+def _first_binnable_x(j: int, x_lo: int, engine: PrimeEngine) -> int:
+    """First prime x >= x_lo (else x_lo) whose j-ensemble column may hold
+    E <= 9/8: column x reads y >= ceil(p_j^2/x), so it is empty when
+    pi(ceil(p_j^2/x) - 1) >= floor(9j^2/(8 pi(x))), which `pi_lower_bound`
+    shows with a margin of 1."""
+    pj = engine.nth_prime(j)
+    xs = engine.table.primes_between(x_lo, pj)
+    pix = engine.table.pi_many(xs)
+    y = np.divmod(pj * pj - 1, xs)[0].astype(float)  # ceil(p_j^2/x) - 1
+    floor_k = np.divmod(9 * j * j, 8 * pix)[0]
+    empty = (y >= PI_LOWER_BOUND_FROM) & (pi_lower_bound(y) - 1.0 >= floor_k)
+    kept = xs[~empty]
+    return int(kept[0]) if kept.size else x_lo
+
+
 def density_map(
     N: int,
     j: int,
@@ -661,14 +676,15 @@ def density_map(
     """Normalized 2D histogram over (E, x) on (1, E_MAX_DEFAULT) x (B_G, sqrt N).
 
     B_G is the classical bound of the G = 0 gauge; both modes bin alike.
-    The quantum map samples the gauges of DEFAULT_G_GRID.
+    The quantum map samples the gauges of DEFAULT_G_GRID. `points` counts
+    the samples, or the pairs read from `_first_binnable_x(j, B_G)`.
     """
     B_G = make_gauge(N, 0.0, engine, j=j).B_G
     e_edges = np.linspace(1.0, E_MAX_DEFAULT, bins[0] + 1)
     x_edges = np.linspace(float(B_G), math.sqrt(N), bins[1] + 1)
 
     if mode == "classical":
-        x, _, pix, piy = ensemble_arrays(j, B_G, None, engine)
+        x, _, pix, piy = ensemble_arrays(j, _first_binnable_x(j, B_G, engine), None, engine)
         # both operands are exact doubles below 2^53, so each division is
         # the correctly rounded float(Fraction(pix * piy, j * j))
         es = (pix * piy) / float(j * j)

@@ -38,11 +38,19 @@ MANIFEST = {}
 
 @pytest.fixture(scope="module", autouse=True)
 def _manifest_writer():
+    """Merge the criteria that ran into the manifest, so a partial run
+    keeps the others."""
     os.makedirs(ART_DIR, exist_ok=True)
     yield
     path = os.path.join(ART_DIR, "acceptance_manifest.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            merged = json.load(fh)
+    except FileNotFoundError:
+        merged = {}
+    merged.update(MANIFEST)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(MANIFEST, fh, indent=2, sort_keys=True)
+        json.dump(merged, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from factorsim.primes import (
     _PAGE_ODDS,
+    PI_LOWER_BOUND_FROM,
     PrimeEngine,
     PrimeRangeError,
     PrimeTable,
     is_prime,
+    pi_lower_bound,
     prime_pi_lucy,
 )
 
@@ -260,6 +262,19 @@ def test_nth_prime_across_pages():
     xs = np.concatenate([(primes[np.array(ns) - 1, None] + np.arange(-1, 2)).ravel(),
                          np.arange(128 * last_word - 127, table.limit + 1)])
     assert table.pi_many(xs).tolist() == np.searchsorted(primes, xs, side="right").tolist()
+
+
+def test_pi_lower_bound_against_sieve():
+    """pi_lower_bound(y) <= pi(y) for every y from PI_LOWER_BOUND_FROM to
+    3*10^7: pi is constant between primes and the bound increases, so
+    checking y = p - 1 for every prime p of the range covers each y. The
+    range is tight: the bound exceeds pi one below it."""
+    table = PrimeTable(30_000_000)
+    ps = table.primes_between(PI_LOWER_BOUND_FROM + 1, table.limit)
+    pi_before = table.pi(PI_LOWER_BOUND_FROM) + np.arange(ps.size)  # pi(p - 1)
+    assert (pi_lower_bound((ps - 1).astype(float)) <= pi_before).all()
+    below = PI_LOWER_BOUND_FROM - 1
+    assert pi_lower_bound(np.array([float(below)]))[0] > table.pi(below)
 
 
 def test_primes_between(engine):

@@ -7,7 +7,7 @@ import pytest
 
 from factorsim import qsieve, spectral
 from factorsim.ensemble import EnsembleQuery, ensemble_arrays, enumerate_ensemble
-from factorsim.primes import PrimeTable
+from factorsim.primes import PI_LOWER_BOUND_FROM, PrimeEngine, PrimeTable
 from factorsim.qsieve import (
     DEFAULT_G_GRID,
     E_MAX_DEFAULT,
@@ -507,7 +507,7 @@ def test_montecarlo_memo_matches_direct_inversion(engine, zeros):
 def test_density_map_classical_matches_exact_rationals(engine):
     N, j = 7919 * 7919, 1000  # p_1000^2
     dm = density_map(N, j, "classical", engine)
-    x_lo = make_gauge(N, 0.0, engine, j=j).B_G
+    x_lo = qsieve._first_binnable_x(j, make_gauge(N, 0.0, engine, j=j).B_G, engine)
     entries = enumerate_ensemble(EnsembleQuery(j=j, x_min=x_lo), engine)
     h, _, _ = np.histogram2d([float(e.E) for e in entries], [float(e.x) for e in entries],
                              bins=[dm.e_edges, dm.x_edges])
@@ -542,11 +542,47 @@ def test_histogram2d_equals_numpy_at_edges(engine):
         assert dm.points == es.size
         assert np.array_equal(dm.mass, h / h.sum())
     dm = density_map(N_FIG1, 10000, "classical", engine)
-    x_lo = make_gauge(N_FIG1, 0.0, engine, j=10000).B_G
+    x_lo = qsieve._first_binnable_x(10000, make_gauge(N_FIG1, 0.0, engine, j=10000).B_G, engine)
     x, _, pix, piy = ensemble_arrays(10000, x_lo, None, engine)
     h, _, _ = np.histogram2d((pix * piy) / 1e8, x.astype(float), bins=[dm.e_edges, dm.x_edges])
-    assert dm.points == x.size and h.sum() < x.size  # some E lie beyond E_MAX_DEFAULT
+    assert dm.points == x.size and h.sum() < x.size  # some E lie outside [1, E_MAX_DEFAULT]
     assert np.array_equal(dm.mass, h / h.sum())
+
+
+@pytest.mark.parametrize("N, j, x_start", [(N_FIG1, 10000, 2591), (7919 * 7919, 1000, 419),
+                                           (3571 * 3571, 500, 149), (2341 * 2341, 347, 67)])
+def test_classical_map_skips_only_empty_columns(N, j, x_start):
+    """The classical map read from `_first_binnable_x` equals the map of the
+    whole ensemble from B_G bit for bit, and every pair it skips lies above
+    E_MAX_DEFAULT (E <= 9/8 exactly when 8 pi(x) pi(y) <= 9 j^2).
+
+    At j = 500 the first kept column is the first whose y-side starts below
+    PI_LOWER_BOUND_FROM. At j = 347 every column starts below it, and
+    there the bound would rule out the column x = 179, which holds E <= 9/8.
+    At the desk j = 10000 the map sieves a third of the table that the
+    read from B_G needs."""
+    engine = PrimeEngine()
+    dm = density_map(N, j, "classical", engine)
+    limit = engine.table.limit
+    B_G = make_gauge(N, 0.0, engine, j=j).B_G
+    assert qsieve._first_binnable_x(j, B_G, engine) == x_start
+    x, _, pix, piy = ensemble_arrays(j, B_G, None, engine)
+    e_edges = np.linspace(1.0, 9.0 / 8.0, 41)
+    x_edges = np.linspace(float(B_G), math.sqrt(N), 41)
+    full = qsieve._histogram2d((pix * piy) / float(j * j), x.astype(float),
+                               e_edges, x_edges, "classical")
+    assert np.array_equal(dm.mass, full.mass)
+    assert np.array_equal(dm.e_edges, e_edges) and np.array_equal(dm.x_edges, x_edges)
+    skipped = x < x_start
+    assert (8 * pix[skipped] * piy[skipped] > 9 * j * j).all()
+    assert dm.points == x.size - skipped.sum()
+    y_side = (engine.nth_prime(j) ** 2 - 1) // x  # ceil(p_j^2/x) - 1 in each pair's column
+    if j == 500:
+        assert y_side[skipped].min() >= PI_LOWER_BOUND_FROM > y_side[~skipped].max()
+    if j == 347:
+        assert x_start == B_G and y_side.max() < PI_LOWER_BOUND_FROM
+    if j == 10000:
+        assert limit <= 4_300_000 and dm.points <= 84_000
 
 
 def j3_map(engine, n_bins):
