@@ -465,7 +465,8 @@ def _global_bracket(N: float) -> np.ndarray:
     return np.array([max(N ** 0.25, 2.01), math.sqrt(N)])
 
 
-def invert_global(Es: np.ndarray, N: float, g: Callable) -> tuple[np.ndarray, ...]:
+def invert_global(Es: np.ndarray, N: float, g: Callable,
+                  settled: Callable | None = None) -> tuple[np.ndarray, ...]:
     """x(E) on the global bracket [max(N^(1/4), 2.01), sqrt N] for every E
     of a 1-D array, in lockstep: (x, f, capped).
 
@@ -476,7 +477,8 @@ def invert_global(Es: np.ndarray, N: float, g: Callable) -> tuple[np.ndarray, ..
     lower end first; a strict sign change is bisected to a relative width
     of INVERT_REL_TOL; otherwise x[i] is NaN. The bisections run through
     `roots.bisect_lanes`, each halving one call of g over the midpoints of
-    every live lane, so x[i] equals a lone bisection of E[i] bit for bit.
+    every live lane, so x[i] equals a lone bisection of E[i] bit for bit
+    unless `settled`, passed on to `bisect_lanes`, stops it earlier.
     `capped` flags the lanes that ran out of halvings.
     """
     ends = _global_bracket(N)
@@ -487,7 +489,7 @@ def invert_global(Es: np.ndarray, N: float, g: Callable) -> tuple[np.ndarray, ..
     capped = np.zeros(Es.size, dtype=bool)
     lanes = np.flatnonzero(f[:, 0] * f[:, 1] < 0.0)
     x[lanes], capped[lanes] = bisect_lanes(lambda mid, live: g(mid) - Es[lanes[live]],
-                                           ends[0], ends[1], f[lanes, 0], rtol=INVERT_REL_TOL)
+                                           ends[0], ends[1], f[lanes, 0], INVERT_REL_TOL, settled)
     return x, f, capped
 
 
@@ -547,6 +549,7 @@ def montecarlo_spectrum(
     zeros: ZetaZerosTable,
     engine: PrimeEngine,
     first_draw: int = 0,
+    settled: Callable | None = None,
 ) -> MonteCarloResult:
     """Sample sqrt(N') uniformly in +-log sqrt(N), emit levels, invert to x.
 
@@ -557,7 +560,8 @@ def montecarlo_spectrum(
     lockstep on the global bracket (`invert_global`), through one memoized
     objective that lives only for this call. Each halving is one objective
     call over the midpoints of every level still bisecting, and each x
-    equals a lone `invert_x_of_E(E, N, j, zeros, T)` bit for bit.
+    equals a lone `invert_x_of_E(E, N, j, zeros, T)` bit for bit unless
+    `settled`, passed on to `invert_global`, stops its bisection earlier.
     """
     sqrt_n = math.sqrt(N)
     log_sqrt = math.log(sqrt_n)
@@ -580,7 +584,8 @@ def montecarlo_spectrum(
             for k, E in energy_levels(gauge):
                 levels.append((1.0 + 1e-12 if E <= 1.0 else E, k, G, xi))
     objective = MemoObjective(inversion_objective(float(N), j, zeros, mc.T))
-    xs, _, capped = invert_global(np.array([lv[0] for lv in levels]), float(N), objective)
+    xs, _, capped = invert_global(np.array([lv[0] for lv in levels]), float(N), objective,
+                                  settled)
     out = [SpectrumSample(E=E, x=x, k=k, G=G, xi=xi)
            for (E, k, G, xi), x in zip(levels, xs.tolist()) if not math.isnan(x)]
     return MonteCarloResult(samples=out, budget=budget,
@@ -633,6 +638,18 @@ def _uniform_bins(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return i
 
 
+def _bin_settled(x_edges: np.ndarray) -> Callable:
+    """settled(lo, hi) for `bisect_lanes`: [lo, hi] lies below the x window,
+    where `_histogram2d` drops x, or in one bin (bins never fall as x grows)."""
+    def settled(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        same = lo >= x_edges[0]
+        i = np.flatnonzero(same)
+        same[i] = _uniform_bins(lo[i], x_edges) == _uniform_bins(hi[i], x_edges)
+        return same | (hi < x_edges[0])
+
+    return settled
+
+
 def _histogram2d(es, xs, e_edges, x_edges, mode) -> DensityMap:
     """np.histogram2d(es, xs, bins=[e_edges, x_edges]), normalized; both
     edge arrays are uniform."""
@@ -676,9 +693,12 @@ def density_map(
     """Normalized 2D histogram over (E, x) on (1, E_MAX_DEFAULT) x (B_G, sqrt N).
 
     B_G is the classical bound of the G = 0 gauge; both modes bin alike.
-    The quantum map samples the gauges of DEFAULT_G_GRID. `points` counts
+    The quantum map samples the gauges of DEFAULT_G_GRID, each x(E)
+    bisected until its bin is settled (`_bin_settled`). `points` counts
     the samples, or the pairs read from `_first_binnable_x(j, B_G)`.
     """
+    if min(bins) < 1:
+        raise ValueError(f"bins = {bins} must be >= 1")
     B_G = make_gauge(N, 0.0, engine, j=j).B_G
     e_edges = np.linspace(1.0, E_MAX_DEFAULT, bins[0] + 1)
     x_edges = np.linspace(float(B_G), math.sqrt(N), bins[1] + 1)
@@ -696,7 +716,8 @@ def density_map(
     if mode == "quantum":
         if zeros is None:
             raise DensityError("quantum mode needs a zeros table")
-        result = montecarlo_spectrum(N, j, DEFAULT_G_GRID, mc or MonteCarloConfig(), zeros, engine)
+        result = montecarlo_spectrum(N, j, DEFAULT_G_GRID, mc or MonteCarloConfig(), zeros, engine,
+                                     settled=_bin_settled(x_edges))
         if not result.samples:
             raise DensityError("no successful inversions: cannot build a map")
         es = np.array([s.E for s in result.samples])

@@ -28,7 +28,8 @@ _MAX_ROUNDS = 200
 
 
 def bisect_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, f_lo,
-                 rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                 rtol: float = 0.0, settled: Callable | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Bisect every lane [lo[i], hi[i]] at once: (roots, capped).
 
     lo, hi and f_lo are 1-D arrays of one lane each (or scalars shared by
@@ -38,8 +39,9 @@ def bisect_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, f_lo
     midpoint. Per lane, the midpoint `0.5*(lo + hi)` is the root once
     `hi - lo < rtol*mid`, a width tested before each evaluation;
     otherwise the lane keeps [lo, mid] when `f_lo*f_mid <= 0.0`, else
-    [mid, hi]. `capped` flags the lanes that ran out of their 200
-    halvings; their root is the midpoint of the last bracket.
+    [mid, hi]; `settled(lo, hi)`, if given, also stops the lanes it flags.
+    `capped` flags the lanes that ran out of their 200 halvings; their
+    root is the midpoint of the last bracket.
     """
     f_lo = np.array(f_lo, dtype=float, ndmin=1)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), f_lo.shape).copy()
@@ -49,6 +51,8 @@ def bisect_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, f_lo
     for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (lo[live] + hi[live])
         done = hi[live] - lo[live] < rtol * mid
+        if settled is not None:
+            done |= settled(lo[live], hi[live])
         roots[live[done]] = mid[done]
         live, mid = live[~done], mid[~done]
         if live.size == 0:

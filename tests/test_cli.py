@@ -71,6 +71,13 @@ def test_domain_error_exit_2(capsys, tmp_path):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, "") and json.loads(err)["error"] == "domain"
     assert list(tmp_path.iterdir()) == []
+    # a map needs at least one bin per axis
+    for n in ("0", "-2"):
+        code, out, err = _run(capsys, "fig2", "--j", "10000", "--samples", "2", "--bins", n,
+                              "--out-prefix", str(tmp_path / "fig2"))
+        assert (code, out) == (2, "") and json.loads(err) == {
+            "error": "domain", "message": f"bins = ({n}, {n}) must be >= 1"}
+    assert list(tmp_path.iterdir()) == []
     # density CSVs with a short row, no rows, a field that is not a number,
     # a bin given twice, or masses that do not sum to 1
     header = "bin_E_lo,bin_E_hi,bin_x_lo,bin_x_hi,mass\n"

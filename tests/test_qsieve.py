@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorsim import qsieve, spectral
 from factorsim.ensemble import EnsembleQuery, ensemble_arrays, enumerate_ensemble
@@ -547,6 +549,60 @@ def test_histogram2d_equals_numpy_at_edges(engine):
     h, _, _ = np.histogram2d((pix * piy) / 1e8, x.astype(float), bins=[dm.e_edges, dm.x_edges])
     assert dm.points == x.size and h.sum() < x.size  # some E lie outside [1, E_MAX_DEFAULT]
     assert np.array_equal(dm.mass, h / h.sum())
+
+
+@given(st.floats(1.0, 1e11), st.floats(1e-6, 1e4), st.integers(1, 300),
+       st.lists(st.floats(0.0, 1.0), max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_uniform_bins_are_numpy_bins_and_never_fall(lo, width, n, us):
+    """The binning rule the quantum map's bisection stops on: inside the
+    window, on, one ulp off and between the edges, each bin is NumPy's
+    edges[i] <= v < edges[i + 1] with the last edge closed, and the bin of a
+    larger v is never smaller."""
+    edges = np.linspace(lo, lo * (1.0 + width), n + 1)
+    v = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        np.minimum(edges[0] + np.array(us) * (edges[-1] - edges[0]), edges[-1])])
+    v = np.sort(v[(v >= edges[0]) & (v <= edges[-1])])
+    bins = qsieve._uniform_bins(v, edges)
+    want = np.minimum(np.searchsorted(edges, v, "right") - 1, n - 1)
+    assert np.array_equal(bins, want) and bins[-1] == n - 1 and (v == edges[-1]).any()
+    assert (np.diff(bins) >= 0).all()
+
+
+@pytest.mark.parametrize("N, j, samples, seed, T, n_bins", [
+    (N_FIG1, 10000, 3, 7, 100, 40), (N_FIG1, 10000, 3, 42, 100, 200),
+    (N_FIG1, 10000, 3, 3, 20, 7), (62615533, 1000, 4, 1, 100, 40)])
+def test_quantum_map_equals_full_tolerance_map(engine, zeros, N, j, samples, seed, T, n_bins):
+    """The quantum map, whose bisections stop once each x bin is settled,
+    bins exactly as the samples of a full-tolerance run do."""
+    mc = MonteCarloConfig(samples=samples, rng_seed=seed, T=T)
+    dm = density_map(N, j, "quantum", engine, zeros=zeros, bins=(n_bins, n_bins), mc=mc)
+    full = montecarlo_spectrum(N, j, DEFAULT_G_GRID, mc, zeros, engine)
+    ref = qsieve._histogram2d([s.E for s in full.samples], [s.x for s in full.samples],
+                              dm.e_edges, dm.x_edges, "quantum")
+    assert np.array_equal(dm.mass, ref.mass) and dm.points == ref.points == len(full.samples)
+
+
+def test_quantum_map_evaluates_39_points_at_the_desk(engine, zeros, monkeypatch):
+    """At j = 10000 with 8 draws the map's run evaluates pi~ at 39 x (567
+    at full tolerance) and keeps all 184 samples."""
+    runs = []
+    spectrum = qsieve.montecarlo_spectrum
+
+    def recorded(*args, **kwargs):
+        runs.append(spectrum(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(qsieve, "montecarlo_spectrum", recorded)
+    mc = MonteCarloConfig(samples=8, rng_seed=7, T=100)
+    dm = density_map(N_FIG1, 10000, "quantum", engine, zeros=zeros, mc=mc)
+    assert len(runs) == 1 and runs[0].memo_misses <= 40 and dm.points == 184
+
+
+def test_density_map_rejects_empty_binnings(engine, zeros):
+    for bins in ((0, 40), (40, -2)):
+        with pytest.raises(ValueError, match="bins"):
+            density_map(N_FIG1, 10000, "quantum", engine, zeros=zeros, bins=bins)
 
 
 @pytest.mark.parametrize("N, j, x_start", [(N_FIG1, 10000, 2591), (7919 * 7919, 1000, 419),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from factorsim import qsieve
 from factorsim.roots import bisect_lanes, false_position_lanes, grid_roots, grid_zeros
 from factorsim.spectral import q_grid
 
@@ -312,6 +313,46 @@ def test_bisect_lanes_scalar_bracket_and_no_lanes():
     assert capped.tolist() == [False]
     roots, capped = bisect_lanes(lambda m, k: 1 / 0, 0.0, 1.0, np.empty(0), rtol=1.0)
     assert roots.size == 0 and capped.size == 0
+
+
+def test_bisect_lanes_settled_stops_on_the_same_path():
+    """The density map's stop test on the x bins [10, 12), ..., [18, 20]:
+    the lane wholly below the window stops before any call of f, a bracket
+    that straddles x_edges[0] or the edge 14 keeps halving, f is never
+    called for a lane once it stopped, and each lane goes through the first
+    midpoints of the full-tolerance lane and ends in the bin of its root."""
+    edges = np.linspace(10.0, 20.0, 6)
+    settled = qsieve._bin_settled(edges)
+    fs = [lambda x: x - 3.0, lambda x: x - 10.5, lambda x: 15.3 - x, lambda x: x - 14.0]
+    lo, hi = np.array([0.0, 5.0, 10.0, 10.0]), np.array([8.0, 20.0, 20.0, 20.0])
+    f_lo = np.array([f(a) for f, a in zip(fs, lo.tolist())])
+    live = [np.arange(4)]  # the lanes of each halving
+    tested = []  # (lane, lo, hi, settled) for every bracket settled saw
+    seen = [[] for _ in fs]
+
+    def recording(a, b):
+        flags = settled(a, b)
+        tested.extend(zip(live[-1].tolist(), a.tolist(), b.tolist(), flags.tolist()))
+        return flags
+
+    def f_lanes(mids, lanes):
+        live.append(lanes.copy())
+        for m, k in zip(mids.tolist(), lanes.tolist()):
+            seen[k].append(m)
+        return np.array([fs[k](m) for m, k in zip(mids.tolist(), lanes.tolist())])
+
+    roots, capped = bisect_lanes(f_lanes, lo, hi, f_lo, 1e-12, recording)
+    full, _, _, full_seen, _, _ = _lanes_both(fs, lo.tolist(), hi.tolist(), 1e-12)
+    flags = [[s for k, _, _, s in tested if k == lane] for lane in range(4)]
+    assert flags[:3] == [[False] * len(c) + [True] for c in seen[:3]]
+    assert seen[0] == [] and roots[0] == 4.0 and full[0] < edges[0]
+    assert not any(s for _, a, b, s in tested if a < edges[0] <= b or a < 14.0 <= b)
+    assert any(k == 1 and a < edges[0] <= b for k, a, b, _ in tested)
+    assert flags[3] == [False] * (len(seen[3]) + 1) and roots[3] == full[3]  # rtol stops it
+    assert all(c == ref[:len(c)] for c, ref in zip(seen, full_seen))
+    assert (qsieve._uniform_bins(roots[1:], edges).tolist()
+            == qsieve._uniform_bins(np.array(full[1:]), edges).tolist() == [0, 2, 2])
+    assert not capped.any() and len(seen[2]) < 6 < 30 < len(seen[3])
 
 
 @pytest.mark.parametrize("xtol, rtol", [(1e-9, 0.0), (0.0, 1e-9)])

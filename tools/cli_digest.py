@@ -41,6 +41,12 @@ RUNS = [
     # a binning other than the default 40 x 40
     ("fig2-bins7", ["fig2", "--j", "10000", "--T", "100", "--seed", "3", "--samples", "8",
                     "--bins", "7", "--out-prefix", "fig2"]),
+    # narrow bins, so that many roots lie near an x edge
+    ("fig2-bins200", ["fig2", "--j", "10000", "--T", "100", "--seed", "42", "--samples", "8",
+                      "--bins", "200", "--out-prefix", "fig2"]),
+    # a small j, on its own N
+    ("fig2-j1000", ["fig2", "--j", "1000", "--N", "62615533", "--T", "100", "--seed", "42",
+                    "--samples", "8", "--out-prefix", "fig2"]),
     ("fig3", ["fig3", "--out", "fig3.csv", "--svg"]),
     # away from E = 1, both scans cross every regime of F and U in both families
     ("fig3-E2.5", ["fig3", "--E", "2.5", "--out", "fig3.csv", "--svg"]),
