@@ -2,10 +2,10 @@
 
 `KummerFamily(a, b)` runs the regimes of `special.kummer_F` and
 `special.kummer_U` on every z of an array at once, and each element
-equals the scalar function's value bit for bit. The Gamma prefactors,
-the tanh-sinh weights and the connection coefficients are built once per
-family; `FU` computes F once for both F and the connection formula of U,
-and the large-z sum that F and U share once.
+equals the scalar function's value bit for bit. The Gamma prefactors
+and the tanh-sinh weights are built once per family, and U's exp-sinh
+weights once per distinct ph z in a pass; `FU` computes the large-z sum
+that F and U share once.
 
 Plain NumPy complex arithmetic rounds differently from CPython's complex
 type (products, quotients, abs and exp), so the passes hold each complex
@@ -15,12 +15,12 @@ the product (ar*br - ai*bi, ar*bi + ai*br); the quotient of
 435), with one branch for a fixed divisor and a branch per element
 otherwise; `abs` as np.hypot. Float + - * /, comparisons, np.hypot and
 np.spacing are exact in NumPy. exp and log (and phase) go through cmath
-one element at a time, and the tanh-sinh integral stays one NumPy row
-per z, as in `special`. Each series or sum keeps one lane per z, with a
-mask that stops it at the term where the scalar loop stops (the
-quarter-ulp stop included); with fewer than _LANES_MIN z, the scalar
-loop runs on each z instead, since a NumPy call costs about as much as
-a scalar term.
+one element at a time, and each quadrature row (F's tanh-sinh, U's
+exp-sinh) stays one NumPy row per z, as in `special`. Each series or
+sum keeps one lane per z, with a mask that stops it at the term where
+the scalar loop stops (the quarter-ulp stop included); with fewer than
+_LANES_MIN z, the scalar loop runs on each z instead, since a NumPy
+call costs about as much as a scalar term.
 """
 
 from __future__ import annotations
@@ -34,17 +34,18 @@ import numpy as np
 from .special import (
     _ASYMPT_RADIUS,
     _EPS,
+    _ES_H,
     _MAXTERMS,
     _SERIES_RADIUS,
-    _U_ASYMPT_RADIUS,
-    _U_LOG_RADIUS,
+    _TS_H,
     SpecialFunctionError,
     _asymptotic_sum,
+    _es_nodes,
+    _es_weights,
     _hyp_series,
-    _kummer_u_log_series,
-    _ts_sum,
+    _row_sum,
+    _ts_nodes,
     _ts_weights,
-    cdigamma,
     cgamma,
 )
 
@@ -167,9 +168,9 @@ class KummerFamily:
     Every element equals scalar `kummer_F` / `kummer_U` at that z bit for
     bit: each regime runs the scalar algorithm on all of its z at once, in
     CPython's complex arithmetic on (real, imag) float arrays. The Gamma
-    prefactors, the digammas of the log series and the connection
-    coefficients are built once per family, on first use; `FU` reuses F
-    and the sum shared by the large-z F and U within one pass.
+    prefactors and the tanh-sinh weights are built once per family, on
+    first use, and U's exp-sinh weights once per distinct ph z in a pass;
+    `FU` sums the large-z series that F and U share once.
     """
 
     def __init__(self, a: complex, b: complex):
@@ -177,8 +178,6 @@ class KummerFamily:
         if b.real <= 0 and b.imag == 0 and b.real == int(b.real):
             raise SpecialFunctionError(f"F pole: b = {b} is a non-positive integer")
         self.a, self.b = a, b
-        self._integer_b = b.imag == 0 and b.real == int(b.real)
-        self._u_radius = _U_LOG_RADIUS if self._integer_b else _U_ASYMPT_RADIUS
 
     @functools.cached_property
     def _gammas(self) -> tuple[complex, complex, complex]:
@@ -188,13 +187,6 @@ class KummerFamily:
     @functools.cached_property
     def _ts_weights(self) -> tuple[np.ndarray, np.ndarray]:
         return _ts_weights(self.a, self.b)
-
-    @functools.cached_property
-    def _connection(self) -> tuple[complex, complex, KummerFamily]:
-        """(c1, c2, F family of (a - b + 1, 2 - b)) of the two-F formula for U."""
-        a, b = self.a, self.b
-        return (cgamma(1.0 - b) / cgamma(a - b + 1.0), cgamma(b - 1.0) / cgamma(a),
-                KummerFamily(a - b + 1.0, 2.0 - b))
 
     def F(self, z) -> np.ndarray:
         """F(a, b, z) at every z of a 1-D array."""
@@ -210,6 +202,7 @@ class KummerFamily:
         r = np.hypot(zr, zi)
         idx = np.arange(z.size)
         F = np.empty(z.size, dtype=complex)
+        inside = r <= _ASYMPT_RADIUS
         small = idx[r <= _SERIES_RADIUS]
         rest = idx[~(r <= _SERIES_RADIUS)]
         mid = rest[r[rest] <= _ASYMPT_RADIUS]
@@ -217,27 +210,23 @@ class KummerFamily:
             F.real[small], F.imag[small], _ = _hyp_series_many(a, b, zr[small], zi[small])
         if mid.size:
             F[mid] = self._middle(zr[mid], zi[mid])
-        # the large-z sum of F is U's whole sum, so U's radius (below F's)
-        # sets the tail where both are summed once
-        tail = idx[~(r <= (self._u_radius if with_u else _ASYMPT_RADIUS))]
+        # beyond the one radius F and U share the sum s1
+        tail = idx[~inside]
         tr, ti = zr[tail], zi[tail]
         logz = each(cmath.log, tr, ti)
         s1 = _asymptotic_sum_many(a, a - b + 1.0, *cdiv(-1.0, 0.0, tr, ti))
-        large = ~(r[tail] <= _ASYMPT_RADIUS)
-        if tail[large].size:
-            F[tail[large]] = self._f_large(tr[large], ti[large],
-                                           *(v[large] for v in logz + s1))
+        if tail.size:
+            F[tail] = self._f_large(tr, ti, *logz, *s1)
         if not with_u:
             return F, None
         if idx[r == 0.0].size:
             raise SpecialFunctionError("U undefined at z = 0")
         U = np.empty(z.size, dtype=complex)
-        far = r[tail] > self._u_radius
-        er, ei = each(cmath.exp, *cmul(-a.real, -a.imag, logz[0][far], logz[1][far]))
-        U.real[tail[far]], U.imag[tail[far]] = cmul(er, ei, s1[0][far], s1[1][far])
-        near = idx[~(r > self._u_radius)]
+        er, ei = each(cmath.exp, *cmul(-a.real, -a.imag, *logz))
+        U.real[tail], U.imag[tail] = cmul(er, ei, *s1)
+        near = idx[inside]
         if near.size:
-            U[near] = self._u_near(zr[near], zi[near], F[near])
+            U[near] = self._u_row(zr[near], zi[near])
         return F, U
 
     def _middle(self, zr, zi) -> np.ndarray:
@@ -246,8 +235,8 @@ class KummerFamily:
         if b.real > a.real > 0.0:
             gb, ga, gba = self._gammas
             den = ga * gba
-            weights = self._ts_weights
-            return np.array([_ts_sum(complex(r, i), weights) * gb / den
+            nodes, weights = _ts_nodes(), self._ts_weights
+            return np.array([_row_sum(complex(r, i), nodes, _TS_H, weights) * gb / den
                              for r, i in zip(zr.tolist(), zi.tolist())], dtype=complex)
         vr, vi, loss = _hyp_series_many(a, b, zr, zi)
         lossy = np.arange(zr.size)[loss > 1e8]
@@ -274,51 +263,17 @@ class KummerFamily:
         t2 = cmul(*cquot(*each(cmath.exp, zr + pr, zi + pi_), ga), *s2)
         return pack(*cmul(gb.real, gb.imag, t1[0] + t2[0], t1[1] + t2[1]))
 
-    def _u_near(self, zr, zi, f: np.ndarray) -> np.ndarray:
-        """U inside its radius, where f is F at the same z: the log series
-        for b = 1, the two-F connection for non-integer b."""
-        a, b = self.a, self.b
-        lr, li = each(cmath.log, zr, zi)
-        if self._integer_b:
-            if b.real == 1.0:
-                return self._u_log_series(zr, zi, lr, li)
-            raise SpecialFunctionError(f"integer b = {b} != 1 not implemented")
-        c1, c2, family2 = self._connection
-        f2 = family2.F(pack(zr, zi))
-        e = each(cmath.exp, *cmul((1.0 - b).real, (1.0 - b).imag, lr, li))
-        u1 = cmul(c1.real, c1.imag, f.real, f.imag)
-        u2 = cmul(*cmul(c2.real, c2.imag, *e), f2.real, f2.imag)
-        return pack(u1[0] + u2[0], u1[1] + u2[1])
-
-    @functools.cached_property
-    def _log_series_constants(self) -> tuple[complex, complex, complex]:
-        """(Gamma(a), psi(a), psi(1)) of the log series."""
-        return cgamma(self.a), cdigamma(self.a), cdigamma(1.0)
-
-    def _u_log_series(self, zr, zi, lr, li) -> np.ndarray:
-        """`_kummer_u_log_series` at every z, given log z; a lane's total
-        stops changing at the term where the scalar loop returns."""
-        a = self.a
-        n = zr.size
-        if n < _LANES_MIN:
-            return pack(*each(lambda z: _kummer_u_log_series(a, z), zr, zi))
-        gamma_a, psi_a, psi_k1 = self._log_series_constants
-        two = 2.0 * psi_k1
-        cr, ci = np.ones(n), np.zeros(n)
-        sr, si = cmul(cr, ci, (lr + psi_a.real) - two.real, (li + psi_a.imag) - two.imag)
-        live = np.ones(n, dtype=bool)
-        for k in range(_MAXTERMS):
-            ak = a + k
-            cr, ci = cmul(cr, ci, *cquot(*cmul(ak.real, ak.imag, zr, zi), (k + 1) * (k + 1)))
-            psi_a += 1.0 / ak
-            psi_k1 += 1.0 / (k + 1)
-            two = 2.0 * psi_k1
-            tr, ti = cmul(cr, ci, (lr + psi_a.real) - two.real, (li + psi_a.imag) - two.imag)
-            np.add(sr, tr, out=sr, where=live)
-            np.add(si, ti, out=si, where=live)
-            if k > 3:
-                live = np.where(np.hypot(tr, ti) < _EPS * np.hypot(sr, si), False, live)
-                if not np.count_nonzero(live):
-                    # -total / Gamma(a); x * -1.0 is -x bit for bit
-                    return pack(*cquot(sr * -1.0, si * -1.0, gamma_a))
-        raise SpecialFunctionError(f"U log-series({a},1,z) did not converge")
+    def _u_row(self, zr, zi) -> np.ndarray:
+        """`_kummer_u_row` at every z: one exp-sinh row per z, its weights
+        built once per distinct ph z (keyed by hex, so -0.0 is not 0.0)."""
+        rows = {}
+        nodes = _es_nodes()
+        out = []
+        for z in pack(zr, zi).tolist():
+            theta = -cmath.phase(z)
+            key = theta.hex()
+            if key not in rows:
+                rows[key] = _es_weights(self.a, self.b, theta)
+            weights, scale = rows[key]
+            out.append(_row_sum(-abs(z), nodes, _ES_H, weights) * scale)
+        return np.array(out, dtype=complex)

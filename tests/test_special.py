@@ -9,7 +9,6 @@ from factorsim import kummer, special
 from factorsim.kummer import KummerFamily, cdiv, cmul, cquot, pack
 from factorsim.special import (
     SpecialFunctionError,
-    cdigamma,
     cgamma,
     kummer_F,
     kummer_U,
@@ -36,11 +35,6 @@ def test_cgamma_known_values():
 def test_cgamma_pole():
     with pytest.raises(SpecialFunctionError):
         cgamma(-2.0)
-
-
-def test_cdigamma_known_values():
-    for z in [1.0, 0.75 - 0.25j, 3 + 2j, -2.5 + 1j, 0.5 + 0.25j]:
-        assert relerr(cdigamma(z), mp.digamma(z)) < 1e-12
 
 
 def test_F_at_zero_is_one():
@@ -94,18 +88,44 @@ def test_U_oracle_value():
 def test_U_accuracy_imaginary_axis(y):
     mine = kummer_U(ALPHA1, B32, 1j * y)
     ref = mp.hyperu(mp.mpf(3) / 4 - 0.25j, mp.mpf(3) / 2, 1j * mp.mpf(y))
-    assert relerr(mine, ref) < 1e-8
+    assert relerr(mine, ref) < 2e-14
 
 
-def test_U_connection_vs_asymptotic_at_40():
-    """U rebuilt from two F values matches the direct asymptotic tail."""
-    from factorsim.special import _asymptotic_sum, _kummer_u_connection
+def _U_sweep():
+    """Seeded (a, b, z, mpmath a, mpmath b) of the spectral U(3/4 - iE/4, 3/2)
+    and trap U(1/2 + iE/4, 1) families: E in [0.2, 8], |z| log-uniform in
+    [0.3, 400] plus the float neighbours of the radius 35, both axis signs."""
+    rng = np.random.default_rng(20261019)
+    r35 = [np.nextafter(35.0, 0.0), 35.0, np.nextafter(35.0, 99.0)]
+    for family in ("spectral", "trap"):
+        rs = np.concatenate([r35, np.exp(rng.uniform(math.log(0.3), math.log(400.0), 60))])
+        for E, r in zip(rng.uniform(0.2, 8.0, rs.size).tolist(), rs.tolist()):
+            e4 = mp.mpf(E) / 4
+            if family == "spectral":
+                ab = (complex(0.75, -0.25 * E), 1.5, mp.mpf(3) / 4 - 1j * e4, mp.mpf(3) / 2)
+            else:
+                ab = (complex(0.5, 0.25 * E), 1.0, mp.mpf(1) / 2 + 1j * e4, 1)
+            for sign in (1.0, -1.0):
+                yield (*ab[:2], complex(0.0, sign * r), *ab[2:])
 
-    z = 40j
-    conn = _kummer_u_connection(ALPHA1, B32, z)
-    s = _asymptotic_sum(ALPHA1, ALPHA1 - B32 + 1.0, -1.0 / z)
-    asym = cmath.exp(-ALPHA1 * cmath.log(z)) * s
-    assert relerr(conn, asym) < 1e-5
+
+def test_U_matches_mpmath_on_seeded_sweep():
+    """U on both scan families, every regime and both axis signs, within
+    2e-14 of mpmath."""
+    worst = max(((relerr(kummer_U(a, b, z), mp.hyperu(ma, mb, mp.mpc(0, z.imag))), a, z)
+                 for a, b, z, ma, mb in _U_sweep()), key=lambda case: case[0])
+    assert worst[0] < 2e-14, worst
+
+
+def test_U_row_vs_asymptotic_at_35():
+    """The exp-sinh row and the asymptotic sum agree at the radius."""
+    from factorsim.special import _asymptotic_sum, _kummer_u_row
+
+    for a, b in [(ALPHA1, B32), (0.5 + 0.625j, 1.0)]:
+        for z in (35j, -35j):
+            row = _kummer_u_row(a, b, z)
+            asym = cmath.exp(-a * cmath.log(z)) * _asymptotic_sum(a, a - b + 1.0, -1.0 / z)
+            assert relerr(row, asym) < 2e-14, (a, z)
 
 
 def test_U_large_argument_normalization():
@@ -125,7 +145,7 @@ def test_U_log_case_b1(y):
     beta = 0.5 + 0.25j
     mine = kummer_U(beta, 1.0, -1j * y)
     ref = mp.hyperu(mp.mpf(1) / 2 + 0.25j, 1, -1j * mp.mpf(y))
-    assert relerr(mine, ref) < 5e-8
+    assert relerr(mine, ref) < 2e-14
 
 
 def test_F_pole_guard():
@@ -140,15 +160,30 @@ def test_U_zero_argument():
 
 def _reference_hyp_integral(a, b, z):
     """The scalar tanh-sinh loop: one cmath.exp(log t) and one running sum per node."""
-    _, log_ts, log_1mts, log_dts = special._ts_nodes()
+    _, log_dts, log_ts, log_1mts = special._ts_nodes()
     am1 = a - 1.0
     bam1 = b - a - 1.0
     total = 0.0 + 0.0j
     for log_t, log_1mt, log_dt in zip(log_ts.tolist(), log_1mts.tolist(), log_dts.tolist()):
         expo = z * cmath.exp(log_t) + am1 * log_t + bam1 * log_1mt + log_dt
         total += cmath.exp(expo)
-    total *= 2.0 ** -special._TS_LEVEL
+    total *= special._TS_H
     return total * cgamma(b) / (cgamma(a) * cgamma(b - a))
+
+
+def _reference_kummer_u_row(a, b, z):
+    """The scalar exp-sinh loop: one running sum per node, each weight taken
+    at its node (log(1 + s e^{i theta}) by NumPy's log1p, as the row takes it)."""
+    theta = -cmath.phase(z)
+    rot = cmath.exp(1j * theta)
+    am1 = a - 1.0
+    bam1 = b - a - 1.0
+    total = 0.0 + 0.0j
+    for s, log_ds, log_s in zip(*(col.tolist() for col in special._es_nodes())):
+        expo = -abs(z) * s + am1 * log_s + bam1 * complex(np.log1p(s * rot)) + log_ds
+        total += cmath.exp(expo)
+    total *= special._ES_H
+    return total * (cmath.exp(1j * theta * a) / cgamma(a))
 
 
 def _reference_asymptotic_sum(a, c, invz):
@@ -164,21 +199,22 @@ def _reference_asymptotic_sum(a, c, invz):
     return total
 
 
-# (a, b) families as the simulator calls them: the spectral F(a, 3/2),
-# the connection formula's F(a - 1/2, 1/2) and the trap's F(beta, 1)
+# (a, b) families as the simulator calls them: the spectral F(a, 3/2)
+# and the trap's F(beta, 1)
 _FAMILIES = {
     "spectral": lambda E: (complex(0.75, -0.25 * E), 1.5),
-    "connection": lambda E: (complex(0.25, -0.25 * E), 0.5),
     "trap": lambda E: (complex(0.5, 0.25 * E), 1.0),
 }
 
 
 def _fast_path_sweep():
     rng = np.random.default_rng(20261018)
-    edges = [12.0, 17.5, 30.0, 35.0, 2500.0]
+    edges = [12.0, 35.0, 2500.0]
     for family, ab in _FAMILIES.items():
-        Es = rng.uniform(0.2, 3.0, 60)
-        rs = np.concatenate([edges, np.exp(rng.uniform(math.log(12.0), math.log(2500.0), 55))])
+        Es = rng.uniform(0.2, 3.0, 80)
+        # U's row also runs below F's series radius, down to 0.3
+        rs = np.concatenate([edges, np.exp(rng.uniform(math.log(12.0), math.log(2500.0), 57)),
+                             np.exp(rng.uniform(math.log(0.3), math.log(12.0), 20))])
         for E, r in zip(Es.tolist(), rs.tolist()):
             for sign in (1.0, -1.0):
                 a, b = ab(E)
@@ -186,11 +222,12 @@ def _fast_path_sweep():
 
 
 def test_fast_paths_match_reference_loops_bit_for_bit(monkeypatch):
-    """The array tanh-sinh pass and the exact-stop asymptotic sums give
-    the same floats as the scalar loop and the full-length sums."""
+    """The array tanh-sinh and exp-sinh passes and the exact-stop asymptotic
+    sums give the same floats as the scalar loops and the full-length sums."""
     cases = list(_fast_path_sweep())
     fast = [(kummer_F(a, b, z), kummer_U(a, b, z)) for _, a, b, z in cases]
     monkeypatch.setattr(special, "_hyp_integral", _reference_hyp_integral)
+    monkeypatch.setattr(special, "_kummer_u_row", _reference_kummer_u_row)
     monkeypatch.setattr(special, "_asymptotic_sum", _reference_asymptotic_sum)
     slow = [(kummer_F(a, b, z), kummer_U(a, b, z)) for _, a, b, z in cases]
     mismatches = [(c, f, s) for c, f, s in zip(cases, fast, slow) if f != s]
@@ -261,11 +298,11 @@ def test_family_matches_scalar_bit_for_bit(lanes_min, monkeypatch):
 @pytest.mark.parametrize("lanes_min", ["default", "array"])
 def test_family_mixed_regimes_and_edges(lanes_min, monkeypatch):
     """One z array that crosses every regime of both functions, with each
-    radius (12, 17.5, 30, 35) and its float neighbours, in shuffled order."""
+    radius (12, 35) and its float neighbours, in shuffled order."""
     if lanes_min == "array":
         monkeypatch.setattr(kummer, "_LANES_MIN", 0)
     rng = np.random.default_rng(7)
-    edges = [12.0, 17.5, 30.0, 35.0]
+    edges = [12.0, 35.0]
     rs = edges + [np.nextafter(r, 0.0) for r in edges] + [np.nextafter(r, 99.0) for r in edges]
     rs = np.concatenate([rs, np.exp(rng.uniform(math.log(0.05), math.log(3000.0), 400))])
     # off the axis by up to 0.2 rad, across the phase -pi/2 where the large-z
@@ -285,6 +322,18 @@ def test_family_errors():
         KummerFamily(ALPHA1, -1.0)
     with pytest.raises(SpecialFunctionError):
         KummerFamily(ALPHA1, B32).FU(np.array([1j, 0j]))
-    with pytest.raises(SpecialFunctionError):
-        KummerFamily(ALPHA1, 2.0).FU(np.array([1j]))
+    with pytest.raises(SpecialFunctionError, match="Re a > 0"):
+        KummerFamily(-0.25 + 1j, B32).FU(np.array([1j]))
+    with pytest.raises(SpecialFunctionError, match="negative real axis"):
+        KummerFamily(ALPHA1, B32).FU(np.array([1j, -2.0]))
+    # the scalar U takes the same row, so it names the same conditions
+    with pytest.raises(SpecialFunctionError, match="Re a > 0"):
+        kummer_U(-0.25 + 1j, B32, 1j)
+    with pytest.raises(SpecialFunctionError, match="negative real axis"):
+        kummer_U(ALPHA1, B32, -2.0)
+    # integer b other than 1 is an ordinary row
+    for b in (2, 3):
+        assert relerr(kummer_U(ALPHA1, b, 1j), mp.hyperu(mp.mpf(3) / 4 - 0.25j, b, 1j)) < 1e-15
+        U = KummerFamily(ALPHA1, b).FU(np.array([1j]))[1]
+        assert _bits(U) == _bits([kummer_U(ALPHA1, b, 1j)])
     assert KummerFamily(ALPHA1, B32).FU(np.array([], dtype=complex))[1].size == 0

@@ -187,7 +187,7 @@ def _reference_trap_wavefunction(rho, e_prime, params, c):
 @pytest.mark.parametrize("E", [0.5, 1.0, 1.6])
 def test_trap_wavefunction_many_equals_scalar_formula(plan, E):
     """Every element of the array pass is the scalar formula's value, across
-    the log series, the F regimes and the large-u sums."""
+    U's exp-sinh row, the F regimes and the large-u sums."""
     p = plan.params
     _, ep = to_physical(0.0, E, p)
     c = trap_boundary_constant(ep, p)
@@ -208,11 +208,23 @@ def test_trap_wavefunction_rejects_rho_at_or_below_origin(plan, rho):
         trap_wavefunction_many(np.array([1e-3, rho]), ep, p)
 
 
-@pytest.mark.parametrize("E", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("E", [0.5, 1.0, 2.0, 2.5, 3.0, 4.0])
 def test_trap_zeros_near_bisection_reference(plan, zero_scans, E):
     zs = trap_wavefunction_zeros(E, math.sqrt(E) + 1e-6, 14.0, plan.params)
     assert len(zero_scans) == 1 and len(zs) >= 25
     assert_near_reference(zero_scans)
+
+
+@pytest.mark.parametrize("E, q", [(2.0, 4.05799), (2.5, 4.16814), (4.0, 3.56159)])
+def test_trap_psi_changes_sign_once_at_zero(plan, E, q):
+    """psi is smooth through its zero to 1e-11: one sign change on a
+    4001-point grid over +-2e-8 (U's former b = 1 path flickered there)."""
+    _, ep = to_physical(0.0, E, plan.params)
+    zero = min(trap_wavefunction_zeros(E, q - 0.01, q + 0.01, plan.params),
+               key=lambda z: abs(z - q))
+    qs = np.linspace(zero - 2e-8, zero + 2e-8, 4001)
+    psi = trap._trap_psi(trap_beta(ep, plan.params), qs, trap_boundary_constant(ep, plan.params))
+    assert np.count_nonzero(np.signbit(psi[1:]) != np.signbit(psi[:-1])) == 1
 
 
 def test_zero_scans_take_few_rounds(zero_scans):
