@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .primes import PrimeEngine, PrimeRangeError, PrimeTable, is_prime
+from .primes import PrimeEngine, PrimeRangeError, is_prime
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,18 +63,12 @@ def ensemble_bounds(j: int, engine: PrimeEngine) -> tuple[int, int]:
     return pj * pj, pj1 * pj1
 
 
-def ensemble_arrays(j: int, x_lo: Optional[int], x_hi: Optional[int],
-                    engine: PrimeEngine) -> tuple[np.ndarray, ...]:
-    """Columns (x, y, pix, piy) of the j-ensemble with x in [x_lo, x_hi].
-
-    int64 arrays in the order they are read: x ascending, then y
-    ascending for each x. None leaves a side of the window at its
-    natural bound (2 or p_j). No y exceeds (N_hi - 1) // x_lo,
-    so one sieve table covers the y-side, and every prime x's y-window
-    [ceil(N_lo/x), (N_hi - 1)//x] is read from it in one pass
-    (`PrimeTable.primes_between_many`). pi(y) is one array `pi_many` at
-    each window's lower edge plus the rank of y within its window.
-    """
+def ensemble_columns(j: int, x_lo: Optional[int], x_hi: Optional[int],
+                     engine: PrimeEngine) -> tuple[np.ndarray, ...]:
+    """int64 columns (x, pi(x), y_lo, y_hi, first pi(y), count), one per
+    prime x in [x_lo, x_hi] (None: 2 or p_j), x ascending: the `count`
+    primes y of [ceil(N_lo/x), (N_hi - 1)//x] have consecutive pi(y), read
+    by a `pi_many` call at each edge off one table to (N_hi - 1) // x_lo."""
     if j < 1:
         raise ValueError("j must be >= 1")
     n_lo, n_hi = ensemble_bounds(j, engine)
@@ -82,29 +76,37 @@ def ensemble_arrays(j: int, x_lo: Optional[int], x_hi: Optional[int],
     x_lo = max(2, x_lo or 2)
     x_hi = min(pj, x_hi if x_hi is not None else pj)
     if x_lo > x_hi:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, empty
+        return (np.empty(0, dtype=np.int64),) * 6
     y_max = (n_hi - 1) // x_lo
     try:
         engine.ensure_limit(y_max)
     except (MemoryError, OverflowError) as exc:
         raise PrimeRangeError(f"y-side bound {y_max} too large to sieve") from exc
-    return _pair_columns(engine.table, x_lo, x_hi, n_lo, n_hi)
-
-
-def _pair_columns(table: PrimeTable, x_lo: int, x_hi: int, n_lo: int, n_hi: int):
-    """(x, y, pix, piy) of every prime x in [x_lo, x_hi] and prime y in its
-    window, x-major; the read's temporaries die with this call."""
+    table = engine.table
     xs = table.primes_between(x_lo, x_hi)
     # y runs from ceil(N_lo/x), already >= p_j >= x, to (N_hi - 1)//x;
     # np.divmod, not //, for the reason in primes._clip_at_zero
     y_lo = np.divmod(n_lo - 1, xs)[0] + 1
-    ys, counts = table.primes_between_many(y_lo, np.divmod(n_hi - 1, xs)[0])
-    first = np.cumsum(counts) - counts  # index in ys of each window's first y
+    y_hi = np.divmod(n_hi - 1, xs)[0]
+    below = table.pi_many(y_lo - 1)
     pix = table.pi(x_lo - 1) + 1 + np.arange(xs.size, dtype=np.int64)
-    piy = np.repeat(table.pi_many(y_lo - 1) + 1 - first, counts)
+    return xs, pix, y_lo, y_hi, below + 1, table.pi_many(y_hi) - below
+
+
+def ensemble_arrays(j: int, x_lo: Optional[int], x_hi: Optional[int],
+                    engine: PrimeEngine) -> tuple[np.ndarray, ...]:
+    """Columns (x, y, pix, piy) of the j-ensemble with x in [x_lo, x_hi].
+
+    int64 arrays, x ascending, then y ascending for each x: each column of
+    `ensemble_columns` with its y read in one pass over every window
+    (`PrimeTable.primes_between_many`) and pi(y) counted up from its first.
+    """
+    xs, pix, y_lo, y_hi, piy, count = ensemble_columns(j, x_lo, x_hi, engine)
+    ys = engine.table.primes_between_many(y_lo, y_hi)[0]
+    first = np.cumsum(count) - count  # index in ys of each window's first y
+    piy = np.repeat(piy - first, count)
     piy += np.arange(ys.size, dtype=np.int64)
-    return np.repeat(xs, counts), ys, np.repeat(pix, counts), piy
+    return np.repeat(xs, count), ys, np.repeat(pix, count), piy
 
 
 def enumerate_ensemble(query: EnsembleQuery, engine: PrimeEngine) -> list[EnsembleEntry]:

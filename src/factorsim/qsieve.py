@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectral
-from .ensemble import ensemble_arrays
+from .ensemble import ensemble_columns
 from .primes import PI_LOWER_BOUND_FROM, PrimeEngine, pi_lower_bound
 from .roots import bisect_lanes, grid_roots
 
@@ -621,9 +621,9 @@ class DensityError(RuntimeError):
 
 
 def _uniform_bins(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin of each v inside [edges[0], edges[-1]] for uniform (linspace)
-    edges: bin i holds edges[i] <= v < edges[i + 1], the last bin also
-    edges[-1], as in np.histogram2d.
+    """Bin of each v for uniform (linspace) edges: bin i holds edges[i] <=
+    v < edges[i + 1], the last bin also edges[-1], as in np.histogram2d;
+    -1 below the edges and n above them, so the bin never falls as v grows.
 
     The bin is computed by arithmetic, then moved by one where rounding
     left v below edges[i] or at or above edges[i + 1] (np.histogram's rule
@@ -631,39 +631,36 @@ def _uniform_bins(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """
     n = edges.size - 1
     lo, hi = edges[0], edges[-1]
-    i = ((v - lo) / (hi - lo) * n).astype(np.intp)
+    i = ((np.clip(v, lo, hi) - lo) / (hi - lo) * n).astype(np.intp)
     i[i == n] = n - 1
     i[v < edges[i]] -= 1
     i[(v >= edges[i + 1]) & (i != n - 1)] += 1
+    i[v > hi] = n
     return i
 
 
 def _bin_settled(x_edges: np.ndarray) -> Callable:
     """settled(lo, hi) for `bisect_lanes`: [lo, hi] lies below the x window,
     where `_histogram2d` drops x, or in one bin (bins never fall as x grows)."""
-    def settled(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        same = lo >= x_edges[0]
-        i = np.flatnonzero(same)
-        same[i] = _uniform_bins(lo[i], x_edges) == _uniform_bins(hi[i], x_edges)
-        return same | (hi < x_edges[0])
-
-    return settled
+    return lambda lo, hi: _uniform_bins(lo, x_edges) == _uniform_bins(hi, x_edges)
 
 
-def _histogram2d(es, xs, e_edges, x_edges, mode) -> DensityMap:
-    """np.histogram2d(es, xs, bins=[e_edges, x_edges]), normalized; both
-    edge arrays are uniform."""
+def _histogram2d(es, xs, e_edges, x_edges, mode, weights=None) -> DensityMap:
+    """np.histogram2d(es, xs, bins=[e_edges, x_edges], weights=weights),
+    normalized; both edge arrays are uniform. `points` sums the integer
+    weights (1 per sample by default)."""
     e, x = np.asarray(es, dtype=float), np.asarray(xs, dtype=float)
     inside = (e >= e_edges[0]) & (e <= e_edges[-1]) & (x >= x_edges[0]) & (x <= x_edges[-1])
     e, x = e[inside], x[inside]
     nx = x_edges.size - 1
     cell = _uniform_bins(e, e_edges) * nx + _uniform_bins(x, x_edges)
-    h = np.bincount(cell, minlength=(e_edges.size - 1) * nx).reshape(-1, nx)
+    w = None if weights is None else weights[inside]
+    h = np.bincount(cell, w, minlength=(e_edges.size - 1) * nx).reshape(-1, nx)
     total = int(h.sum())
     if total <= 0:
         raise DensityError("no points fell inside the binning window")
-    return DensityMap(e_edges=e_edges, x_edges=x_edges, mass=h / total,
-                      mode=mode, points=len(es))
+    return DensityMap(e_edges=e_edges, x_edges=x_edges, mass=h / total, mode=mode,
+                      points=len(es) if weights is None else int(weights.sum()))
 
 
 def _first_binnable_x(j: int, x_lo: int, engine: PrimeEngine) -> int:
@@ -694,8 +691,10 @@ def density_map(
 
     B_G is the classical bound of the G = 0 gauge; both modes bin alike.
     The quantum map samples the gauges of DEFAULT_G_GRID, each x(E)
-    bisected until its bin is settled (`_bin_settled`). `points` counts
-    the samples, or the pairs read from `_first_binnable_x(j, B_G)`.
+    bisected until its bin is settled (`_bin_settled`). The classical map
+    reads `ensemble_columns` from `_first_binnable_x(j, B_G)`: a column
+    whose first and last E share a bin is one point weighted by its pair
+    count. `points` counts the samples, or the pairs of the columns read.
     """
     if min(bins) < 1:
         raise ValueError(f"bins = {bins} must be >= 1")
@@ -704,14 +703,17 @@ def density_map(
     x_edges = np.linspace(float(B_G), math.sqrt(N), bins[1] + 1)
 
     if mode == "classical":
-        x, _, pix, piy = ensemble_arrays(j, _first_binnable_x(j, B_G, engine), None, engine)
-        # both operands are exact doubles below 2^53, so each division is
-        # the correctly rounded float(Fraction(pix * piy, j * j))
-        es = (pix * piy) / float(j * j)
-        xs = x.astype(float)
-        if es.size == 0:
+        x, pix, _, _, piy, n = ensemble_columns(j, _first_binnable_x(j, B_G, engine), None, engine)
+        if not n.any():
             raise DensityError("classical ensemble empty in the window")
-        return _histogram2d(es, xs, e_edges, x_edges, "classical")
+        # exact doubles below 2^53: each E is float(Fraction(pix * piy, j * j)), rising with piy
+        jj = float(j * j)
+        ends = _uniform_bins(pix * np.stack([piy, piy + n - 1]) / jj, e_edges)
+        split = ends[0] != ends[1]
+        reps = np.where(split, n, 1)  # a split column's pairs, else one point
+        col = np.repeat(np.arange(n.size), reps)
+        es = (pix[col] * (piy[col] + np.arange(col.size) - (np.cumsum(reps) - reps)[col])) / jj
+        return _histogram2d(es, x[col], e_edges, x_edges, "classical", np.where(split, 1, n)[col])
 
     if mode == "quantum":
         if zeros is None:
@@ -728,19 +730,13 @@ def density_map(
 
 
 def _rankdata(v: np.ndarray) -> np.ndarray:
+    """Ranks from 1, each tie group at the mean of its ranks."""
     order = np.argsort(v, kind="stable")
-    ranks = np.empty_like(order, dtype=float)
-    ranks[order] = np.arange(1, len(v) + 1, dtype=float)
-    # average ties
     sv = v[order]
-    i = 0
-    while i < len(sv):
-        k = i
-        while k + 1 < len(sv) and sv[k + 1] == sv[i]:
-            k += 1
-        if k > i:
-            ranks[order[i : k + 1]] = 0.5 * (i + 1 + k + 1)
-        i = k + 1
+    start = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    size = np.diff(np.r_[start, sv.size])
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(0.5 * (2 * start + 1 + size), size)
     return ranks
 
 
