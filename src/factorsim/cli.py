@@ -318,7 +318,7 @@ def _cmd_sieve(args, engine: PrimeEngine) -> int:
         return 0
     if args.sub == "invert":
         zeros = _load_zeros(args.zeros)
-        j = args.j if args.j else engine.pi(math.isqrt(int(args.N)))
+        j = engine.pi(math.isqrt(int(args.N))) if args.j is None else args.j
         x = invert_x_of_E(args.E, args.N, j, zeros, args.T)
         print(json.dumps({"x": x, "E": args.E, "N": args.N, "j": j, "T": args.T},
                          sort_keys=True))

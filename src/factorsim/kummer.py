@@ -1,11 +1,14 @@
 """F and U of one (a, b) family over a 1-D array of z, in array passes.
 
-`KummerFamily(a, b)` runs the regimes of `special.kummer_F` and
+`KummerFamily(a, b).FU` runs the regimes of `special.kummer_F` and
 `special.kummer_U` on every z of an array at once, and each element
-equals the scalar function's value bit for bit. The Gamma prefactors
-and the tanh-sinh weights are built once per family, and U's exp-sinh
-weights once per distinct ph z in a pass; `FU` computes the large-z sum
-that F and U share once.
+equals the scalar function's value bit for bit. U is the exp-sinh row
+inside _ASYMPT_RADIUS (35) and the asymptotic sum beyond it, with the
+row's weights built once per distinct ph z in a pass. F is the power
+series inside _SERIES_RADIUS (3); beyond it, F is the U(a, b, z) of the
+same pass and one more U pass at (b - a, b, -z), joined by DLMF 13.2.41
+with one pair of factors per sign of Im z. So a pass runs one quadrature
+rule and one large-|z| formula for both functions.
 
 Plain NumPy complex arithmetic rounds differently from CPython's complex
 type (products, quotients, abs and exp), so the passes hold each complex
@@ -15,38 +18,30 @@ the product (ar*br - ai*bi, ar*bi + ai*br); the quotient of
 435), with one branch for a fixed divisor and a branch per element
 otherwise; `abs` as np.hypot. Float + - * /, comparisons, np.hypot and
 np.spacing are exact in NumPy. exp and log (and phase) go through cmath
-one element at a time, and each quadrature row (F's tanh-sinh, U's
-exp-sinh) stays one NumPy row per z, as in `special`. Each series or
-sum keeps one lane per z, with a mask that stops it at the term where
-the scalar loop stops (the quarter-ulp stop included); with fewer than
-_LANES_MIN z, the scalar loop runs on each z instead, since a NumPy
-call costs about as much as a scalar term.
+one element at a time, and the exp-sinh row stays one NumPy row per z,
+as in `special`. Each series or sum keeps one lane per z, with a mask
+that stops it at the term where the scalar loop stops (the quarter-ulp
+stop included); with fewer than _LANES_MIN z, the scalar loop runs on
+each z instead, since a NumPy call costs about as much as a scalar term.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
-import math
 
 import numpy as np
 
 from .special import (
     _ASYMPT_RADIUS,
     _EPS,
-    _ES_H,
     _MAXTERMS,
     _SERIES_RADIUS,
-    _TS_H,
     SpecialFunctionError,
     _asymptotic_sum,
-    _es_nodes,
+    _connection_factors,
     _es_weights,
     _hyp_series,
     _row_sum,
-    _ts_nodes,
-    _ts_weights,
-    cgamma,
 )
 
 # below this many z, a series or sum runs the scalar loop on each z: the
@@ -101,31 +96,26 @@ def each(fn, zr, zi):
 
 
 def _hyp_series_many(a: complex, b: complex, zr, zi):
-    """`_hyp_series` at every z: (real, imag, loss).
+    """`_hyp_series` at every z, as (real, imag) parts.
 
-    Every lane runs the scalar recurrence; a lane's total and peak stop
-    changing at the term where the scalar loop returns.
+    Every lane runs the scalar recurrence; a lane's total stops changing
+    at the term where the scalar loop returns.
     """
     n = zr.size
     if n < _LANES_MIN:
-        vals = [_hyp_series(a, b, complex(r, i)) for r, i in zip(zr.tolist(), zi.tolist())]
-        v = np.array([x for x, _ in vals], dtype=complex)
-        return v.real, v.imag, np.array([x for _, x in vals])
+        return each(lambda z: _hyp_series(a, b, z), zr, zi)
     tr, ti = np.ones(n), np.zeros(n)
-    sr, si, peak = tr.copy(), ti.copy(), tr.copy()
+    sr, si = tr.copy(), ti.copy()
     live = np.ones(n, dtype=bool)
     for k in range(_MAXTERMS):
         ak = a + k
         tr, ti = cmul(tr, ti, *cquot(*cmul(ak.real, ak.imag, zr, zi), (b + k) * (k + 1)))
         np.add(sr, tr, out=sr, where=live)
         np.add(si, ti, out=si, where=live)
-        size = np.hypot(tr, ti)
-        np.copyto(peak, size, where=np.where(live, size > peak, False))
         if k > 2:
-            live = np.where(size < _EPS * np.hypot(sr, si), False, live)
+            live = np.where(np.hypot(tr, ti) < _EPS * np.hypot(sr, si), False, live)
             if not np.count_nonzero(live):
-                mag = np.hypot(sr, si)
-                return sr, si, peak / np.where(1e-300 > mag, 1e-300, mag)
+                return sr, si
     raise SpecialFunctionError(f"series F({a},{b},z) did not converge")
 
 
@@ -162,15 +152,39 @@ def _asymptotic_sum_many(a: complex, c: complex, ir, ii):
     return sr, si
 
 
+def _u_many(a: complex, b: complex, zr, zi) -> np.ndarray:
+    """`kummer_U(a, b, z)` at every nonzero z: one exp-sinh row per z inside
+    the radius, its weights built once per distinct ph z (keyed by hex, so
+    -0.0 is not 0.0), and the asymptotic sum beyond it."""
+    r = np.hypot(zr, zi)
+    idx = np.arange(zr.size)
+    U = np.empty(zr.size, dtype=complex)
+    tail = idx[~(r <= _ASYMPT_RADIUS)]
+    if tail.size:
+        tr, ti = zr[tail], zi[tail]
+        s = _asymptotic_sum_many(a, a - b + 1.0, *cdiv(-1.0, 0.0, tr, ti))
+        er, ei = each(cmath.exp, *cmul(-a.real, -a.imag, *each(cmath.log, tr, ti)))
+        U.real[tail], U.imag[tail] = cmul(er, ei, *s)
+    near = idx[r <= _ASYMPT_RADIUS]
+    rows = {}
+    for k, z in zip(near.tolist(), pack(zr[near], zi[near]).tolist()):
+        theta = -cmath.phase(z)
+        key = theta.hex()
+        if key not in rows:
+            rows[key] = _es_weights(a, b, theta)
+        weights, scale = rows[key]
+        U[k] = _row_sum(-abs(z), weights) * scale
+    return U
+
+
 class KummerFamily:
     """F(a, b, z) and U(a, b, z) of one (a, b) over 1-D arrays of z.
 
     Every element equals scalar `kummer_F` / `kummer_U` at that z bit for
     bit: each regime runs the scalar algorithm on all of its z at once, in
-    CPython's complex arithmetic on (real, imag) float arrays. The Gamma
-    prefactors and the tanh-sinh weights are built once per family, on
-    first use, and U's exp-sinh weights once per distinct ph z in a pass;
-    `FU` sums the large-z series that F and U share once.
+    CPython's complex arithmetic on (real, imag) float arrays. Beyond the
+    series radius, F is built from the U(a, b, z) that `FU` returns and
+    one more U pass at (b - a, b, -z).
     """
 
     def __init__(self, a: complex, b: complex):
@@ -179,101 +193,30 @@ class KummerFamily:
             raise SpecialFunctionError(f"F pole: b = {b} is a non-positive integer")
         self.a, self.b = a, b
 
-    @functools.cached_property
-    def _gammas(self) -> tuple[complex, complex, complex]:
-        """(Gamma(b), Gamma(a), Gamma(b - a)) of the integral and large-z F."""
-        return cgamma(self.b), cgamma(self.a), cgamma(self.b - self.a)
-
-    @functools.cached_property
-    def _ts_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        return _ts_weights(self.a, self.b)
-
-    def F(self, z) -> np.ndarray:
-        """F(a, b, z) at every z of a 1-D array."""
-        return self._pass(np.asarray(z, dtype=complex), False)[0]
-
     def FU(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(F, U)(a, b, z) at every z of a 1-D array; no z may be 0."""
-        return self._pass(np.asarray(z, dtype=complex), True)
-
-    def _pass(self, z: np.ndarray, with_u: bool):
         a, b = self.a, self.b
+        z = np.asarray(z, dtype=complex)
         zr, zi = z.real, z.imag
         r = np.hypot(zr, zi)
-        idx = np.arange(z.size)
-        F = np.empty(z.size, dtype=complex)
-        inside = r <= _ASYMPT_RADIUS
-        small = idx[r <= _SERIES_RADIUS]
-        rest = idx[~(r <= _SERIES_RADIUS)]
-        mid = rest[r[rest] <= _ASYMPT_RADIUS]
-        if small.size:
-            F.real[small], F.imag[small], _ = _hyp_series_many(a, b, zr[small], zi[small])
-        if mid.size:
-            F[mid] = self._middle(zr[mid], zi[mid])
-        # beyond the one radius F and U share the sum s1
-        tail = idx[~inside]
-        tr, ti = zr[tail], zi[tail]
-        logz = each(cmath.log, tr, ti)
-        s1 = _asymptotic_sum_many(a, a - b + 1.0, *cdiv(-1.0, 0.0, tr, ti))
-        if tail.size:
-            F[tail] = self._f_large(tr, ti, *logz, *s1)
-        if not with_u:
-            return F, None
-        if idx[r == 0.0].size:
+        if np.count_nonzero(r == 0.0):
             raise SpecialFunctionError("U undefined at z = 0")
-        U = np.empty(z.size, dtype=complex)
-        er, ei = each(cmath.exp, *cmul(-a.real, -a.imag, *logz))
-        U.real[tail], U.imag[tail] = cmul(er, ei, *s1)
-        near = idx[inside]
-        if near.size:
-            U[near] = self._u_row(zr[near], zi[near])
+        idx = np.arange(z.size)
+        small = idx[r <= _SERIES_RADIUS]
+        big = idx[~(r <= _SERIES_RADIUS)]
+        # the DLMF 13.2.41 factors of each sign of Im z beyond the radius,
+        # taken first so that F names its own conditions before U runs
+        signs = np.sign(zi[big]).tolist()
+        factors = {y: _connection_factors(a, b, y) for y in sorted(set(signs))}
+        U = _u_many(a, b, zr, zi)
+        F = np.empty(z.size, dtype=complex)
+        if small.size:
+            F.real[small], F.imag[small] = _hyp_series_many(a, b, zr[small], zi[small])
+        if big.size:
+            br, bi = zr[big], zi[big]
+            k1, k2 = (np.array(col) for col in zip(*(factors[y] for y in signs)))
+            u2 = _u_many(b - a, b, -br, -bi)
+            t1 = cmul(k1.real, k1.imag, U.real[big], U.imag[big])
+            t2 = cmul(*cmul(k2.real, k2.imag, *each(cmath.exp, br, bi)), u2.real, u2.imag)
+            F[big] = pack(t1[0] + t2[0], t1[1] + t2[1])
         return F, U
-
-    def _middle(self, zr, zi) -> np.ndarray:
-        """F in the band (_SERIES_RADIUS, _ASYMPT_RADIUS]: one tanh-sinh row per z."""
-        a, b = self.a, self.b
-        if b.real > a.real > 0.0:
-            gb, ga, gba = self._gammas
-            den = ga * gba
-            nodes, weights = _ts_nodes(), self._ts_weights
-            return np.array([_row_sum(complex(r, i), nodes, _TS_H, weights) * gb / den
-                             for r, i in zip(zr.tolist(), zi.tolist())], dtype=complex)
-        vr, vi, loss = _hyp_series_many(a, b, zr, zi)
-        lossy = np.arange(zr.size)[loss > 1e8]
-        if lossy.size:
-            k = lossy[0]
-            raise SpecialFunctionError(
-                f"F({a},{b},{complex(zr[k], zi[k])}): series loses {loss[k]:.1e} "
-                "and no integral path")
-        return pack(vr, vi)
-
-    def _f_large(self, zr, zi, lr, li, s1r, s1i) -> np.ndarray:
-        """`_kummer_f_asymptotic` at every z, given log z and the first sum s1."""
-        a, b = self.a, self.b
-        gb, ga, gba = self._gammas
-        upper = np.array([-0.5 * math.pi < cmath.phase(complex(r, i)) <= 1.5 * math.pi
-                          for r, i in zip(zr.tolist(), zi.tolist())], dtype=bool)
-        w_up, w_down = 1.0 * 1j * cmath.pi * a, -1.0 * 1j * cmath.pi * a
-        pr, pi_ = cmul(a.real, a.imag, lr, li)
-        e1 = each(cmath.exp, np.where(upper, w_up.real, w_down.real) - pr,
-                   np.where(upper, w_up.imag, w_down.imag) - pi_)
-        t1 = cmul(*cquot(*e1, gba), s1r, s1i)
-        s2 = _asymptotic_sum_many(b - a, 1.0 - a, *cdiv(1.0, 0.0, zr, zi))
-        pr, pi_ = cmul((a - b).real, (a - b).imag, lr, li)
-        t2 = cmul(*cquot(*each(cmath.exp, zr + pr, zi + pi_), ga), *s2)
-        return pack(*cmul(gb.real, gb.imag, t1[0] + t2[0], t1[1] + t2[1]))
-
-    def _u_row(self, zr, zi) -> np.ndarray:
-        """`_kummer_u_row` at every z: one exp-sinh row per z, its weights
-        built once per distinct ph z (keyed by hex, so -0.0 is not 0.0)."""
-        rows = {}
-        nodes = _es_nodes()
-        out = []
-        for z in pack(zr, zi).tolist():
-            theta = -cmath.phase(z)
-            key = theta.hex()
-            if key not in rows:
-                rows[key] = _es_weights(self.a, self.b, theta)
-            weights, scale = rows[key]
-            out.append(_row_sum(-abs(z), nodes, _ES_H, weights) * scale)
-        return np.array(out, dtype=complex)

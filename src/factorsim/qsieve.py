@@ -374,8 +374,11 @@ def inversion_objective(N: float, j: int, zeros: ZetaZerosTable, T: int) -> Call
     g takes a 1-D ndarray of x and gives the array of E, with one
     `pi_approx_many` call over the xs and the N/xs together. g does not
     depend on E, so one g serves every inversion at the same (N, j, T);
-    `MemoObjective` shares its values across them.
+    `MemoObjective` shares its values across them. j enters only as j^2,
+    so a j below 1 is rejected here rather than read as |j| or as 0.
     """
+    if j < 1:
+        raise ValueError(f"j = {j} must be >= 1")
     j2 = float(j) * float(j)
 
     def g(x: np.ndarray) -> np.ndarray:
@@ -568,6 +571,7 @@ def montecarlo_spectrum(
     budget = mc.samples if mc.samples is not None else measurements_budget(N)
     if budget < 0:
         raise ValueError(f"samples = {budget} must be >= 0")
+    objective = MemoObjective(inversion_objective(float(N), j, zeros, mc.T))
     levels = []
     gauge_rejections = 0
     for i in range(first_draw, budget):
@@ -583,7 +587,6 @@ def montecarlo_spectrum(
                 continue
             for k, E in energy_levels(gauge):
                 levels.append((1.0 + 1e-12 if E <= 1.0 else E, k, G, xi))
-    objective = MemoObjective(inversion_objective(float(N), j, zeros, mc.T))
     xs, _, capped = invert_global(np.array([lv[0] for lv in levels]), float(N), objective,
                                   settled)
     out = [SpectrumSample(E=E, x=x, k=k, G=G, xi=xi)

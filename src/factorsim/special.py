@@ -1,19 +1,21 @@
 """Complex special functions for the spectral solver.
 
 Confluent hypergeometric F (regular) and U (irregular) on the imaginary
-axis, backed by a Lanczos complex gamma. Three F regimes: power series
-for small |z|, a tanh-sinh integral representation in the middle band,
-and the compound large-z expansion. U has two, split at F's large-z
-radius: inside it, the Laplace integral DLMF 13.4.4 turned onto the ray
+axis, backed by a Lanczos complex gamma, with one quadrature rule and
+one large-|z| formula. U has two regimes, split at _ASYMPT_RADIUS (35):
+inside it, the Laplace integral DLMF 13.4.4 turned onto the ray
 arg t = -ph z and summed by an exp-sinh row, for every b and Re a > 0;
-outside it, the asymptotic series whose sum F's large-z form shares.
+outside it, the asymptotic series. F has two, split at _SERIES_RADIUS
+(3): inside it, the power series; outside it, two U's by DLMF 13.2.41,
+F(a, b, z) = Gamma(b) [e^{-s i pi a} U(a, b, z) / Gamma(b - a)
++ e^{s i pi (b - a)} e^z U(b - a, b, -z) / Gamma(a)], s = +1 if Im z < 0
+and -1 otherwise, which needs Re b > Re a > 0 and z off the real axis.
 
 Fast paths are exact, not approximate. The asymptotic sums stop at the
 first term below a quarter ulp of both parts of the running total: no
 later term can move it, so the result is the same float as the full
-optimally truncated sum. Each quadrature row (F's tanh-sinh, U's
-exp-sinh) is one NumPy pass whose cumulative sum adds the nodes in the
-order of the scalar running sum.
+optimally truncated sum. The exp-sinh row is one NumPy pass whose
+cumulative sum adds the nodes in the order of the scalar running sum.
 
 These are the point evaluators (the Newton solver, the matching point,
 boundary constants). A scan at fixed (a, b) goes through
@@ -25,11 +27,18 @@ path applies CPython's formulas to (real, imag) float arrays: the product
 it, np.hypot for abs; float + - * /, comparisons, np.hypot and
 np.spacing are exact, and exp and log go through cmath per element.
 
-Regime radii were calibrated against an arbitrary-precision oracle:
-the double-precision power series keeps ~1e-11 relative accuracy to
-|z| ~ 12 and degrades fast beyond (cancellation on the imaginary axis),
-while the asymptotic series reaches ~1e-13 by |z| ~ 35. U is within
-2e-14 of the oracle on both scan families for |z| from 0.3 to 400.
+The series radius was calibrated against an arbitrary-precision oracle
+on both scan families (spectral a = 3/4 - iE/4, b = 3/2; trap
+a = 1/2 + iE/4, b = 1; E up to 8): on the imaginary axis the series and
+the connection both stay within about 1e-13 relative from |z| = 2.5 to
+3, and beyond 3 the series loses digits to cancellation. F is within
+1e-13 and U within 2e-14 of the oracle for |z| from 0.3 to 400 on
+ph z = +-pi/2, the scans' rays, and both within about 1e-14 up to the
+0.2 rad off those rays that the tests tilt. Near the negative real axis
+the exp-sinh ray passes close to the cut of (1+t)^(b-a-1) at t = -1 and
+U loses digits: at |z| = 6, about 2e-9 relative at 0.1 rad from the axis
+and 1e-6 at 0.05 rad. F, which takes U at both z and -z, loses as much
+near either side of the real axis.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 
-_SERIES_RADIUS = 12.0
+_SERIES_RADIUS = 3.0
 _ASYMPT_RADIUS = 35.0
 # U's radius, which is F's; the benchmark tracer (perfbench/layers.py)
 # labels U's regimes by this name
@@ -82,47 +91,26 @@ def cgamma(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
-def _hyp_series(a: complex, b: complex, z: complex) -> tuple[complex, float]:
-    """Plain Taylor series; returns (value, max-term/|value| loss factor)."""
+def _hyp_series(a: complex, b: complex, z: complex) -> complex:
+    """Plain Taylor series of F(a, b, z)."""
     term = 1.0 + 0.0j
     total = term
-    peak = 1.0
     for k in range(_MAXTERMS):
         term *= (a + k) * z / ((b + k) * (k + 1))
         total += term
-        peak = max(peak, abs(term))
         if abs(term) < _EPS * abs(total) and k > 2:
-            return total, peak / max(abs(total), 1e-300)
+            return total
     raise SpecialFunctionError(f"series F({a},{b},{z}) did not converge")
 
 
-# the nodes of the two quadrature rows, built once by math in a Python loop
-_TS_H = 2.0 ** -6  # F's tanh-sinh row on (0, 1): u = k h to |u| = 6
 _ES_H = 2.0 ** -5  # U's exp-sinh row on (0, inf): u = k h, k = -160..112
-
-
-@functools.cache
-def _ts_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Node arrays (t, log dt, log t, log(1-t)) of the tanh-sinh rule."""
-    nodes = []
-    kmax = int(6.0 / _TS_H)
-    for k in range(-kmax, kmax + 1):
-        u = k * _TS_H
-        w = 0.5 * math.pi * math.sinh(u)
-        # t in (0,1) with stable log(t), log(1-t)
-        log_t = -math.log1p(math.exp(-2.0 * w)) if w > -350 else 2.0 * w
-        log_1mt = -math.log1p(math.exp(2.0 * w)) if w < 350 else -2.0 * w
-        dt = 0.25 * math.pi * math.cosh(u) / math.cosh(w) ** 2
-        if dt == 0.0 or not math.isfinite(dt):
-            continue
-        nodes.append((cmath.exp(log_t), math.log(dt), log_t, log_1mt))
-    return tuple(np.array(col) for col in zip(*nodes))
 
 
 @functools.cache
 def _es_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node arrays (s, log ds, log s) of the exp-sinh rule s = exp(pi/2 sinh u)
-    (Takahasi & Mori, Publ. RIMS Kyoto 9 (1974) 721)."""
+    (Takahasi & Mori, Publ. RIMS Kyoto 9 (1974) 721), built by math in a
+    Python loop."""
     nodes = []
     for k in range(-160, 113):
         u = k * _ES_H
@@ -130,12 +118,6 @@ def _es_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         log_ds = log_s + math.log(0.5 * math.pi * math.cosh(u))
         nodes.append((complex(math.exp(log_s)), log_ds, log_s))
     return tuple(np.array(col) for col in zip(*nodes))
-
-
-def _ts_weights(a: complex, b: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The (a, b) terms (a-1) log t and (b-a-1) log(1-t) of the Euler exponent."""
-    _, _, log_t, log_1mt = _ts_nodes()
-    return (a - 1.0) * log_t, (b - a - 1.0) * log_1mt
 
 
 def _es_weights(a: complex, b: complex, theta: float) -> tuple[tuple, complex]:
@@ -151,33 +133,23 @@ def _es_weights(a: complex, b: complex, theta: float) -> tuple[tuple, complex]:
     return weights, cmath.exp(1j * theta * a) / cgamma(a)
 
 
-def _row_sum(x: complex, nodes: tuple, h: float, weights: tuple[np.ndarray, np.ndarray]) -> complex:
-    """h * sum_k exp(x t_k + w_k + v_k + log dt_k) over the nodes (t, log dt, ...)
-    of a rule of step h, with the weights (w, v).
+def _row_sum(x: complex, weights: tuple[np.ndarray, np.ndarray]) -> complex:
+    """h * sum_k exp(x s_k + w_k + v_k + log ds_k) over the exp-sinh nodes,
+    with the weights (w, v).
 
     One array pass over the nodes; cumsum adds them in node order, so
     the total is the same float as a running sum.
     """
-    t, log_dt = nodes[:2]
+    s, log_ds, _ = _es_nodes()
     w_a, w_b = weights
-    # x*t + w_a + w_b + log_dt, added in place in that order
-    expo = x * t
+    # x*s + w_a + w_b + log_ds, added in place in that order
+    expo = x * s
     expo += w_a
     expo += w_b
-    expo += log_dt
+    expo += log_ds
     total = complex(np.cumsum(np.exp(expo, out=expo))[-1])
-    total *= h
+    total *= _ES_H
     return total
-
-
-def _hyp_integral(a: complex, b: complex, z: complex) -> complex:
-    """Euler integral for F, tanh-sinh quadrature; needs Re b > Re a > 0."""
-    if not (b.real > a.real > 0.0):
-        raise SpecialFunctionError(
-            f"integral representation needs Re b > Re a > 0, got a={a}, b={b}"
-        )
-    total = _row_sum(z, _ts_nodes(), _TS_H, _ts_weights(a, b))
-    return total * cgamma(b) / (cgamma(a) * cgamma(b - a))
 
 
 def _asymptotic_sum(a: complex, c: complex, invz: complex) -> complex:
@@ -201,13 +173,24 @@ def _asymptotic_sum(a: complex, c: complex, invz: complex) -> complex:
     return total
 
 
-def _kummer_f_asymptotic(a: complex, b: complex, z: complex) -> complex:
-    sigma = 1.0 if -0.5 * math.pi < cmath.phase(z) <= 1.5 * math.pi else -1.0
-    s1 = _asymptotic_sum(a, a - b + 1.0, -1.0 / z)
-    s2 = _asymptotic_sum(b - a, 1.0 - a, 1.0 / z)
-    t1 = cmath.exp(sigma * 1j * cmath.pi * a - a * cmath.log(z)) / cgamma(b - a) * s1
-    t2 = cmath.exp(z + (a - b) * cmath.log(z)) / cgamma(a) * s2
-    return cgamma(b) * (t1 + t2)
+def _connection_factors(a: complex, b: complex, y: float) -> tuple[complex, complex]:
+    """(k1, k2) with F(a, b, z) = k1 U(a, b, z) + k2 e^z U(b - a, b, -z) for
+    Im z = y, by DLMF 13.2.41: k1 = Gamma(b) e^{-s i pi a} / Gamma(b - a) and
+    k2 = Gamma(b) e^{s i pi (b - a)} / Gamma(a), where s = +1 if y < 0 and -1
+    otherwise, so that -z = e^{s i pi} z on the principal branch.
+
+    The two U rows need Re a > 0 and Re (b - a) > 0, and z and -z off
+    the negative real axis.
+    """
+    if not b.real > a.real > 0.0:
+        raise SpecialFunctionError(
+            f"F beyond |z| = {_SERIES_RADIUS} needs Re b > Re a > 0, got a = {a}, b = {b}")
+    if y == 0.0:
+        raise SpecialFunctionError(f"F beyond |z| = {_SERIES_RADIUS} needs z off the real axis")
+    s = 1.0 if y < 0.0 else -1.0
+    gb = cgamma(b)
+    return (gb * cmath.exp(-s * 1j * cmath.pi * a) / cgamma(b - a),
+            gb * cmath.exp(s * 1j * cmath.pi * (b - a)) / cgamma(a))
 
 
 def kummer_F(a: complex, b: complex, z: complex) -> complex:
@@ -215,19 +198,10 @@ def kummer_F(a: complex, b: complex, z: complex) -> complex:
     a, b, z = complex(a), complex(b), complex(z)
     if b.real <= 0 and b.imag == 0 and b.real == int(b.real):
         raise SpecialFunctionError(f"F pole: b = {b} is a non-positive integer")
-    az = abs(z)
-    if az <= _SERIES_RADIUS:
-        return _hyp_series(a, b, z)[0]
-    if az <= _ASYMPT_RADIUS:
-        if b.real > a.real > 0.0:
-            return _hyp_integral(a, b, z)
-        val, loss = _hyp_series(a, b, z)
-        if loss > 1e8:
-            raise SpecialFunctionError(
-                f"F({a},{b},{z}): series loses {loss:.1e} and no integral path"
-            )
-        return val
-    return _kummer_f_asymptotic(a, b, z)
+    if abs(z) <= _SERIES_RADIUS:
+        return _hyp_series(a, b, z)
+    k1, k2 = _connection_factors(a, b, z.imag)
+    return k1 * kummer_U(a, b, z) + k2 * cmath.exp(z) * kummer_U(b - a, b, -z)
 
 
 def _kummer_u_row(a: complex, b: complex, z: complex) -> complex:
@@ -235,7 +209,7 @@ def _kummer_u_row(a: complex, b: complex, z: complex) -> complex:
     z t = |z| s: e^{i theta a}/Gamma(a) * int_0^inf e^{-|z| s} s^{a-1}
     (1 + s e^{i theta})^{b-a-1} ds, summed on the exp-sinh nodes."""
     weights, scale = _es_weights(a, b, -cmath.phase(z))
-    return _row_sum(-abs(z), _es_nodes(), _ES_H, weights) * scale
+    return _row_sum(-abs(z), weights) * scale
 
 
 def kummer_U(a: complex, b: complex, z: complex) -> complex:

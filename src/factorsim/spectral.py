@@ -177,6 +177,8 @@ def _zeros_on_grid(E: float, qs: list[float]) -> list[float]:
 
 def wavefunction_zeros(E: float, q_max: float) -> list[float]:
     """All zeros of Psi in (sqrt(E), q_max], by sign change + false position."""
+    if E <= 0:
+        raise ValueError("E must be positive")
     q0 = math.sqrt(E)
     if q_max <= q0:
         return []

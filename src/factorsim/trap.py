@@ -248,6 +248,8 @@ def zero_match_report(E: float, q_lo: float, q_hi: float,
 
     Unpaired zeros (beyond the shorter list) are dropped, not fatal.
     """
+    if E <= 0:
+        raise ValueError("E must be positive")
     if q_hi <= max(q_lo, math.sqrt(E)):
         return []
     exact = [z for z in spectral.wavefunction_zeros(E, q_hi) if z >= q_lo]

@@ -71,6 +71,23 @@ def test_domain_error_exit_2(capsys, tmp_path):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, "") and json.loads(err)["error"] == "domain"
     assert list(tmp_path.iterdir()) == []
+    # j enters the inversion only as j^2, and 0 is a value, not "unset"
+    for j in ("0", "-10000"):
+        for argv in (["sieve", "invert", "--E", "1.05", "--N", "10969262131", "--j", j],
+                     ["sieve", "run", "--N", "10969262131", "--j", j, "--samples", "2",
+                      "--out", str(tmp_path / "s.csv")]):
+            code, out, err = _run(capsys, *argv)
+            assert (code, out) == (2, "") and json.loads(err) == {
+                "error": "domain", "message": f"j = {j} must be >= 1"}
+    assert list(tmp_path.iterdir()) == []
+    # the zero scans name the E <= 0 they cannot take
+    for argv in (["spectrum", "zeros", "--E", "-1", "--qmax", "4"],
+                 ["trap", "zeromatch", "--E", "-1", "--out", str(tmp_path / "zm.csv")],
+                 ["fig3", "--E", "-1", "--out", str(tmp_path / "fig3.csv")]):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "") and json.loads(err) == {
+            "error": "domain", "message": "E must be positive"}
+    assert list(tmp_path.iterdir()) == []
     # a map needs at least one bin per axis
     for n in ("0", "-2"):
         code, out, err = _run(capsys, "fig2", "--j", "10000", "--samples", "2", "--bins", n,

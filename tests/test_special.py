@@ -55,27 +55,22 @@ def test_F_oracle_value():
 def test_F_accuracy_imaginary_axis(y):
     mine = kummer_F(ALPHA1, B32, 1j * y)
     ref = mp.hyp1f1(mp.mpf(3) / 4 - 0.25j, mp.mpf(3) / 2, 1j * mp.mpf(y), maxterms=10**6)
-    tol = 1e-10 if y <= 50 else 1e-6
-    assert relerr(mine, ref) < tol
+    assert relerr(mine, ref) < 1e-13
 
 
-def test_F_regime_overlap_band():
-    """Quadrature and asymptotic regimes agree through |z| in [25, 50]."""
-    from factorsim.special import _hyp_integral, _kummer_f_asymptotic
+def test_F_series_connection_overlap():
+    """The power series and the two-U connection agree at the float
+    neighbours of the series radius, on both families and axis signs."""
+    from factorsim.special import _SERIES_RADIUS, _connection_factors, _hyp_series
 
-    for y in [25, 30, 35, 40, 45, 50]:
-        quad = _hyp_integral(ALPHA1, B32, 1j * y)
-        asym = _kummer_f_asymptotic(ALPHA1, B32, 1j * y)
-        assert relerr(quad, asym) < 1e-6
-
-
-def test_F_series_quadrature_overlap():
-    from factorsim.special import _hyp_integral, _hyp_series
-
-    for y in [8, 10, 12]:
-        series = _hyp_series(ALPHA1, B32, 1j * y)[0]
-        quad = _hyp_integral(ALPHA1, B32, 1j * y)
-        assert relerr(series, quad) < 1e-9
+    radii = (np.nextafter(_SERIES_RADIUS, 0.0), _SERIES_RADIUS,
+             np.nextafter(_SERIES_RADIUS, 99.0))
+    for a, b in [(ALPHA1, B32), (complex(0.75, -2.0), B32), (0.5 + 0.625j, 1.0),
+                 (complex(0.5, -2.0), 1.0)]:
+        for z in [complex(0.0, sign * r) for r in radii for sign in (1.0, -1.0)]:
+            k1, k2 = _connection_factors(a, b, z.imag)
+            connection = k1 * kummer_U(a, b, z) + k2 * cmath.exp(z) * kummer_U(b - a, b, -z)
+            assert relerr(_hyp_series(a, b, z), connection) < 1e-13, (a, z)
 
 
 def test_U_oracle_value():
@@ -111,10 +106,14 @@ def _U_sweep():
 
 def test_U_matches_mpmath_on_seeded_sweep():
     """U on both scan families, every regime and both axis signs, within
-    2e-14 of mpmath."""
+    2e-14 of mpmath; F at the same points within 1e-13."""
+    cases = list(_U_sweep())
     worst = max(((relerr(kummer_U(a, b, z), mp.hyperu(ma, mb, mp.mpc(0, z.imag))), a, z)
-                 for a, b, z, ma, mb in _U_sweep()), key=lambda case: case[0])
+                 for a, b, z, ma, mb in cases), key=lambda case: case[0])
     assert worst[0] < 2e-14, worst
+    worst = max(((relerr(kummer_F(a, b, z), mp.hyp1f1(ma, mb, mp.mpc(0, z.imag))), a, z)
+                 for a, b, z, ma, mb in cases), key=lambda case: case[0])
+    assert worst[0] < 1e-13, worst
 
 
 def test_U_row_vs_asymptotic_at_35():
@@ -158,19 +157,6 @@ def test_U_zero_argument():
         kummer_U(ALPHA1, B32, 0.0)
 
 
-def _reference_hyp_integral(a, b, z):
-    """The scalar tanh-sinh loop: one cmath.exp(log t) and one running sum per node."""
-    _, log_dts, log_ts, log_1mts = special._ts_nodes()
-    am1 = a - 1.0
-    bam1 = b - a - 1.0
-    total = 0.0 + 0.0j
-    for log_t, log_1mt, log_dt in zip(log_ts.tolist(), log_1mts.tolist(), log_dts.tolist()):
-        expo = z * cmath.exp(log_t) + am1 * log_t + bam1 * log_1mt + log_dt
-        total += cmath.exp(expo)
-    total *= special._TS_H
-    return total * cgamma(b) / (cgamma(a) * cgamma(b - a))
-
-
 def _reference_kummer_u_row(a, b, z):
     """The scalar exp-sinh loop: one running sum per node, each weight taken
     at its node (log(1 + s e^{i theta}) by NumPy's log1p, as the row takes it)."""
@@ -209,10 +195,11 @@ _FAMILIES = {
 
 def _fast_path_sweep():
     rng = np.random.default_rng(20261018)
-    edges = [12.0, 35.0, 2500.0]
+    edges = [3.0, 35.0, 2500.0]
     for family, ab in _FAMILIES.items():
         Es = rng.uniform(0.2, 3.0, 80)
-        # U's row also runs below F's series radius, down to 0.3
+        # 20 draws in [0.3, 12]: F's series below 3 and its connection
+        # above, U's row throughout
         rs = np.concatenate([edges, np.exp(rng.uniform(math.log(12.0), math.log(2500.0), 57)),
                              np.exp(rng.uniform(math.log(0.3), math.log(12.0), 20))])
         for E, r in zip(Es.tolist(), rs.tolist()):
@@ -222,11 +209,11 @@ def _fast_path_sweep():
 
 
 def test_fast_paths_match_reference_loops_bit_for_bit(monkeypatch):
-    """The array tanh-sinh and exp-sinh passes and the exact-stop asymptotic
-    sums give the same floats as the scalar loops and the full-length sums."""
+    """The array exp-sinh pass and the exact-stop asymptotic sums give the
+    same floats as the scalar loop and the full-length sums, in U and in the
+    F built from two U's."""
     cases = list(_fast_path_sweep())
     fast = [(kummer_F(a, b, z), kummer_U(a, b, z)) for _, a, b, z in cases]
-    monkeypatch.setattr(special, "_hyp_integral", _reference_hyp_integral)
     monkeypatch.setattr(special, "_kummer_u_row", _reference_kummer_u_row)
     monkeypatch.setattr(special, "_asymptotic_sum", _reference_asymptotic_sum)
     slow = [(kummer_F(a, b, z), kummer_U(a, b, z)) for _, a, b, z in cases]
@@ -292,21 +279,19 @@ def test_family_matches_scalar_bit_for_bit(lanes_min, monkeypatch):
             F, U = KummerFamily(a, b).FU(zs)
             assert _bits(F) == _bits([kummer_F(a, b, z) for z in zs.tolist()]), (family, a)
             assert _bits(U) == _bits([kummer_U(a, b, z) for z in zs.tolist()]), (family, a)
-            assert _bits(KummerFamily(a, b).F(zs)) == _bits(F)
 
 
 @pytest.mark.parametrize("lanes_min", ["default", "array"])
 def test_family_mixed_regimes_and_edges(lanes_min, monkeypatch):
     """One z array that crosses every regime of both functions, with each
-    radius (12, 35) and its float neighbours, in shuffled order."""
+    radius (3, 35) and its float neighbours, in shuffled order."""
     if lanes_min == "array":
         monkeypatch.setattr(kummer, "_LANES_MIN", 0)
     rng = np.random.default_rng(7)
-    edges = [12.0, 35.0]
+    edges = [3.0, 35.0]
     rs = edges + [np.nextafter(r, 0.0) for r in edges] + [np.nextafter(r, 99.0) for r in edges]
     rs = np.concatenate([rs, np.exp(rng.uniform(math.log(0.05), math.log(3000.0), 400))])
-    # off the axis by up to 0.2 rad, across the phase -pi/2 where the large-z
-    # F switches sign; e^z stays finite
+    # off the axis by up to 0.2 rad; e^z stays finite
     tilt = np.where(rng.random(rs.size) < 0.5, 0.5, -0.5) * np.pi + rng.uniform(-0.2, 0.2, rs.size)
     zs = np.concatenate([1j * rs, -1j * rs, rs * np.exp(1j * tilt)])
     zs = zs[rng.permutation(zs.size)]
@@ -331,6 +316,21 @@ def test_family_errors():
         kummer_U(-0.25 + 1j, B32, 1j)
     with pytest.raises(SpecialFunctionError, match="negative real axis"):
         kummer_U(ALPHA1, B32, -2.0)
+    # F beyond the series radius is two U's; it names its own conditions
+    # on both paths: Re a <= 0, Re a >= Re b, z on the real axis
+    order = r"F beyond \|z\| = 3.0 needs Re b > Re a > 0"
+    axis = r"F beyond \|z\| = 3.0 needs z off the real axis"
+    for a, z, what in ((-0.25 + 1j, 5j, order), (1.75 - 0.25j, 5j, order), (ALPHA1, 5.0, axis),
+                       (ALPHA1, complex(5.0, -0.0), axis), (ALPHA1, -5.0, axis)):
+        with pytest.raises(SpecialFunctionError, match=what):
+            kummer_F(a, B32, z)
+        with pytest.raises(SpecialFunctionError, match=what):
+            KummerFamily(a, B32).FU(np.array([1j, z]))
+    # just off the real axis, where the connection switches sign of Im z
+    zs = np.array([5 + 1e-3j, 5 - 1e-3j, -5 + 1e-3j, -5 - 1e-3j, 40 + 1e-3j, -40 - 1e-3j])
+    F, U = KummerFamily(ALPHA1, B32).FU(zs)
+    assert _bits(F) == _bits([kummer_F(ALPHA1, B32, z) for z in zs.tolist()])
+    assert _bits(U) == _bits([kummer_U(ALPHA1, B32, z) for z in zs.tolist()])
     # integer b other than 1 is an ordinary row
     for b in (2, 3):
         assert relerr(kummer_U(ALPHA1, b, 1j), mp.hyperu(mp.mpf(3) / 4 - 0.25j, b, 1j)) < 1e-15

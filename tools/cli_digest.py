@@ -60,6 +60,9 @@ RUNS = [
     ("solve-46.6", ["spectrum", "solve", "--qm", "46.6", "--guess", "1.0"]),
     ("zeros", ["spectrum", "zeros", "--E", "1", "--qmax", "12"]),
     ("zeros-E0.3", ["spectrum", "zeros", "--E", "0.3", "--qmax", "40"]),
+    # at large E the scan crosses |z| 6-16, where F is the two-U connection
+    # and its power series would lose digits
+    ("zeros-E6", ["spectrum", "zeros", "--E", "6", "--qmax", "4"]),
     ("phi0", ["spectrum", "phi0"]),
     ("sieve-run", ["sieve", "run", "--N", N_DESK, "--j", "10000", "--T", "50",
                    "--samples", "6", "--out", "samples.csv"]),
