@@ -235,8 +235,8 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _flag_types(parser: argparse.ArgumentParser, args) -> dict:
-    """dest -> type= converter (or None) of every flag of the parsed subcommand."""
+def _flag_actions(parser: argparse.ArgumentParser, args) -> dict:
+    """dest -> argparse action of every flag of the parsed subcommand."""
     flags = {}
     while parser is not None:
         nested = None
@@ -244,7 +244,7 @@ def _flag_types(parser: argparse.ArgumentParser, args) -> dict:
             if isinstance(action, argparse._SubParsersAction):
                 nested = action.choices[getattr(args, action.dest)]
             elif not isinstance(action, argparse._HelpAction) and action.dest != "config":
-                flags[action.dest] = action.type
+                flags[action.dest] = action
         parser = nested
     return flags
 
@@ -442,19 +442,23 @@ def run(argv=None) -> int:
                 overrides = json.load(fh)
             if not isinstance(overrides, dict):
                 raise _UsageError("--config must hold a JSON object")
-            flags = _flag_types(parser, args)
+            flags = _flag_actions(parser, args)
             for key, value in overrides.items():
                 name = key.replace("-", "_")
                 # only flags of the parsed subcommand; cmd/sub would switch it
                 if name not in flags:
                     raise _UsageError(f"--config key {key!r} is not a flag of this command")
-                convert = flags[name]
-                if convert is not None:
+                action = flags[name]
+                if action.type is not None:
                     # the flag's own type=, as argparse applies it to a token
                     try:
-                        value = convert(str(value))
+                        value = action.type(str(value))
                     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                         raise _UsageError(f"--config value {value!r} for {key!r}: {exc}") from None
+                elif not isinstance(value, bool if action.nargs == 0 else str):
+                    # a switch takes a JSON boolean, any other flag a JSON string
+                    kind = "boolean" if action.nargs == 0 else "string"
+                    raise _UsageError(f"--config value {value!r} for {key!r}: not a JSON {kind}")
                 setattr(args, name, value)
         engine = PrimeEngine()
         if args.cmd == "spectrum":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
@@ -148,19 +148,18 @@ def energy_levels(gauge: GaugeConfig) -> list[tuple[int, float]]:
     return out
 
 
-def exact_energy_levels(gauge: GaugeConfig, k_max: int | None = None) -> list[tuple[int, float]]:
-    """Level family solved exactly at the boundaries q_m(k).
+def exact_energy_levels(gauge: GaugeConfig) -> list[tuple[int, float]]:
+    """Level family solved exactly at the boundaries q_m(k), k = 0..floor(k_m) + 1.
 
     The k = 0 level anchors at q_G from guess 1; each next guess chains
     from the previous root shifted by the first-order spacing, which
-    keeps every solve inside its own basin.
+    keeps every solve inside its own basin. The ladder stops at the first
+    solve that does not converge.
     """
     spacing = 2.0 * math.pi / (gauge.k_m * math.log(gauge.q_G))
-    if k_max is None:
-        k_max = int(gauge.k_m) + 1
     sol = spectral.solve_energy(gauge.q_G, 1.0)
     levels = [(0, sol.E)]
-    for k in range(1, k_max + 1):
+    for k in range(1, int(gauge.k_m) + 2):
         sol = spectral.solve_energy(qm_of_k(gauge, k), levels[-1][1] + spacing)
         if not sol.converged:
             break
@@ -373,9 +372,10 @@ def inversion_objective(N: float, j: int, zeros: ZetaZerosTable, T: int) -> Call
 
     g takes a 1-D ndarray of x and gives the array of E, with one
     `pi_approx_many` call over the xs and the N/xs together. g does not
-    depend on E, so one g serves every inversion at the same (N, j, T);
-    `MemoObjective` shares its values across them. j enters only as j^2,
-    so a j below 1 is rejected here rather than read as |j| or as 0.
+    depend on E, so one g serves every inversion at the same (N, j, T),
+    and `invert_global` evaluates it once per distinct x of each of its
+    calls. j enters only as j^2, so a j below 1 is rejected here rather
+    than read as |j| or as 0.
     """
     if j < 1:
         raise ValueError(f"j = {j} must be >= 1")
@@ -386,34 +386,6 @@ def inversion_objective(N: float, j: int, zeros: ZetaZerosTable, T: int) -> Call
         return p[:x.size] * p[x.size:] / j2
 
     return g
-
-
-@dataclass
-class MemoObjective:
-    """`inversion_objective` with every evaluated x kept, for one run.
-
-    The bisections of one Monte-Carlo run all start from the same bracket,
-    so they revisit the same midpoints, within one lockstep halving and
-    across halvings; a hit returns the stored float, which is exactly what
-    a fresh evaluation would return. It takes a 1-D array of x; the misses
-    are evaluated as one batch, and each x counts as one hit or one miss.
-    """
-
-    g: Callable
-    values: dict = field(default_factory=dict, repr=False)
-    hits: int = 0
-
-    @property
-    def misses(self) -> int:
-        return len(self.values)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        keys = x.tolist()
-        new = [k for k in dict.fromkeys(keys) if k not in self.values]
-        if new:
-            self.values.update(zip(new, self.g(np.array(new)).tolist()))
-        self.hits += len(keys) - len(new)
-        return np.array([self.values[k] for k in keys])
 
 
 def invert_x_of_E(
@@ -442,7 +414,7 @@ def invert_x_of_E(
     """
     g = inversion_objective(N, j, zeros, T)
     if near is None:
-        x, fs, _ = invert_global(np.array([E], dtype=float), N, g)
+        x, fs, _, _ = invert_global(np.array([E], dtype=float), N, g)
         if math.isnan(x[0]):
             lo, hi = _global_bracket(N).tolist()
             f_lo, f_hi = fs[0].tolist()
@@ -469,31 +441,45 @@ def _global_bracket(N: float) -> np.ndarray:
 
 
 def invert_global(Es: np.ndarray, N: float, g: Callable,
-                  settled: Callable | None = None) -> tuple[np.ndarray, ...]:
+                  settled: Callable | None = None) -> tuple:
     """x(E) on the global bracket [max(N^(1/4), 2.01), sqrt N] for every E
-    of a 1-D array, in lockstep: (x, f, capped).
+    of a 1-D array, in lockstep: (x, f, capped, points).
 
-    g is `inversion_objective(N, j, zeros, T)` or a memoized copy of it.
-    Both ends are evaluated for every E in one call of g (a memo serves
-    all but the first pair), and f[i] = g(ends) - Es[i]. As `grid_roots`
-    does on two samples, an end where f is exactly 0.0 is the root, the
-    lower end first; a strict sign change is bisected to a relative width
-    of INVERT_REL_TOL; otherwise x[i] is NaN. The bisections run through
-    `roots.bisect_lanes`, each halving one call of g over the midpoints of
-    every live lane, so x[i] equals a lone bisection of E[i] bit for bit
-    unless `settled`, passed on to `bisect_lanes`, stops it earlier.
-    `capped` flags the lanes that ran out of halvings.
+    g is `inversion_objective(N, j, zeros, T)`. Both ends are evaluated
+    once for all E, and f[i] = g(ends) - Es[i]. As `grid_roots` does on
+    two samples, an end where f is exactly 0.0 is the root, the lower end
+    first; a strict sign change is bisected to a relative width of
+    INVERT_REL_TOL; otherwise x[i] is NaN. The bisections run through
+    `roots.bisect_lanes`, each halving one call of g over the distinct
+    midpoints of every live lane, so x[i] equals a lone bisection of E[i]
+    bit for bit unless `settled`, passed on to `bisect_lanes`, stops it
+    earlier. `capped` flags the lanes that ran out of halvings, and
+    `points` counts the x passed to g. With no E, g is not called.
     """
+    if Es.size == 0:
+        return np.empty(0), np.empty((0, 2)), np.zeros(0, dtype=bool), 0
     ends = _global_bracket(N)
-    f = g(np.tile(ends, Es.size)).reshape(Es.size, 2) - Es[:, None]
+    f = g(ends) - Es[:, None]
     x = np.full(Es.size, np.nan)
     x[f[:, 1] == 0.0] = ends[1]
     x[f[:, 0] == 0.0] = ends[0]
     capped = np.zeros(Es.size, dtype=bool)
     lanes = np.flatnonzero(f[:, 0] * f[:, 1] < 0.0)
-    x[lanes], capped[lanes] = bisect_lanes(lambda mid, live: g(mid) - Es[lanes[live]],
-                                           ends[0], ends[1], f[lanes, 0], INVERT_REL_TOL, settled)
-    return x, f, capped
+    points = ends.size
+
+    def f_mid(mid: np.ndarray, live: np.ndarray) -> np.ndarray:
+        # every lane halves in step from the same bracket, so the lanes of
+        # one halving share midpoints and those of two halvings do not
+        nonlocal points
+        keys = mid.tolist()
+        values = dict.fromkeys(keys)
+        values.update(zip(values, g(np.array(list(values))).tolist()))
+        points += len(values)
+        return np.array([values[k] for k in keys]) - Es[lanes[live]]
+
+    x[lanes], capped[lanes] = bisect_lanes(f_mid, ends[0], ends[1], f[lanes, 0],
+                                           INVERT_REL_TOL, settled)
+    return x, f, capped, points
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +509,9 @@ class MonteCarloResult:
     A gauge rejection drops a whole (draw, G) pair; a bracket miss drops
     one level whose E the global bracket does not straddle. A capped
     bisection is a level whose bisection ran out of its 200 halvings; its
-    sample is kept, at the midpoint of the last bracket. The memo counts
-    are evaluations of the inversion objective served from the run's memo
-    (hits) and computed afresh (misses).
+    sample is kept, at the midpoint of the last bracket. `objective_points`
+    counts the distinct x at which the inversion objective was evaluated,
+    each once: pi~ ran at twice as many points, x and N/x.
     """
 
     samples: list
@@ -533,8 +519,7 @@ class MonteCarloResult:
     gauge_rejections: int
     bracket_misses: int
     capped_bisections: int
-    memo_hits: int
-    memo_misses: int
+    objective_points: int
 
     @property
     def failed_inversions(self) -> int:
@@ -560,18 +545,18 @@ def montecarlo_spectrum(
     parallel split over draws (expressed through `first_draw` slices)
     reproduces the serial output bit for bit. Every (draw, G, k, E) is
     listed first, in that order; then all of them are inverted in
-    lockstep on the global bracket (`invert_global`), through one memoized
-    objective that lives only for this call. Each halving is one objective
-    call over the midpoints of every level still bisecting, and each x
-    equals a lone `invert_x_of_E(E, N, j, zeros, T)` bit for bit unless
-    `settled`, passed on to `invert_global`, stops its bisection earlier.
+    lockstep on the global bracket (`invert_global`). Each halving is one
+    objective call over the distinct midpoints of every level still
+    bisecting, and each x equals a lone `invert_x_of_E(E, N, j, zeros, T)`
+    bit for bit unless `settled`, passed on to `invert_global`, stops its
+    bisection earlier.
     """
     sqrt_n = math.sqrt(N)
     log_sqrt = math.log(sqrt_n)
     budget = mc.samples if mc.samples is not None else measurements_budget(N)
     if budget < 0:
         raise ValueError(f"samples = {budget} must be >= 0")
-    objective = MemoObjective(inversion_objective(float(N), j, zeros, mc.T))
+    objective = inversion_objective(float(N), j, zeros, mc.T)
     levels = []
     gauge_rejections = 0
     for i in range(first_draw, budget):
@@ -587,15 +572,15 @@ def montecarlo_spectrum(
                 continue
             for k, E in energy_levels(gauge):
                 levels.append((1.0 + 1e-12 if E <= 1.0 else E, k, G, xi))
-    xs, _, capped = invert_global(np.array([lv[0] for lv in levels]), float(N), objective,
-                                  settled)
+    xs, _, capped, points = invert_global(np.array([lv[0] for lv in levels]), float(N),
+                                          objective, settled)
     out = [SpectrumSample(E=E, x=x, k=k, G=G, xi=xi)
            for (E, k, G, xi), x in zip(levels, xs.tolist()) if not math.isnan(x)]
     return MonteCarloResult(samples=out, budget=budget,
                             gauge_rejections=gauge_rejections,
                             bracket_misses=len(levels) - len(out),
                             capped_bisections=int(capped.sum()),
-                            memo_hits=objective.hits, memo_misses=objective.misses)
+                            objective_points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +741,8 @@ def compare_densities(a: DensityMap, b: DensityMap) -> dict:
     rank_corr = float(np.dot(rp, rq) / denom) if denom > 0 else 0.0
     m = 0.5 * (p + q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kl_pm = np.where(p > 0, p * np.log2(np.where(p > 0, p / np.where(m > 0, m, 1), 1)), 0.0)
-        kl_qm = np.where(q > 0, q * np.log2(np.where(q > 0, q / np.where(m > 0, m, 1), 1)), 0.0)
+        kl_pm = np.where(p > 0, p * np.log2(p / m), 0.0)  # p > 0 implies m > 0
+        kl_qm = np.where(q > 0, q * np.log2(q / m), 0.0)
     js = float(0.5 * kl_pm.sum() + 0.5 * kl_qm.sum())
     overlap = float(np.minimum(p, q).sum())
     return {"rank_correlation": rank_corr, "jensen_shannon": js, "overlap": overlap}

@@ -132,7 +132,7 @@ def test_acceptance_06_level_count(engine):
     for G in [0.0, 0.2]:
         gauge = make_gauge(10969262131, G, engine, j=10000)
         period = 2.0 * math.pi / math.log(gauge.q_G)
-        levels = exact_energy_levels(gauge, k_max=int(gauge.k_m) + 1)
+        levels = exact_energy_levels(gauge)
         count = sum(1 for _, E in levels if 1.0 < E <= 1.0 + period)
         target = int(gauge.k_m)
         details.append(f"G={G}: {count} roots vs floor(k_m)={target}")

@@ -314,13 +314,36 @@ def test_config_values_go_through_the_flag_type(tmp_path, capsys):
     assert code == 0 and out.strip() == "26"
 
 
-@pytest.mark.parametrize("value", ["abc", 3.7])
-def test_config_rejects_values_the_flag_type_rejects(tmp_path, capsys, value):
+@pytest.mark.parametrize("argv, key, value", [
+    pytest.param(["primes", "pi", "3"], "x", "abc", id="abc"),
+    pytest.param(["primes", "pi", "3"], "x", 3.7, id="3.7"),
+    # a flag without type= takes only a JSON string, a switch only a JSON boolean
+    pytest.param(["ensemble", "enumerate", "--j", "50", "--out", "e.csv"], "out", 1, id="out-int"),
+    pytest.param(["sieve", "invert", "--E", "1.0044", "--N", "10969262131"], "zeros", 3,
+                 id="zeros-int"),
+    pytest.param(["fig3", "--out", "f3.csv"], "svg", "false", id="svg-string"),
+    pytest.param(["fig3", "--out", "f3.csv"], "svg", 1, id="svg-int"),
+    pytest.param(["trap", "plan", "--N", "1e10"], "particle", 5, id="particle-int"),
+    pytest.param(["trap", "plan", "--N", "1e10"], "particle", None, id="particle-null"),
+])
+def test_config_rejects_values_the_flag_type_rejects(tmp_path, capsys, monkeypatch,
+                                                     argv, key, value):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"x": value}))
-    code, out, err = _run(capsys, "--config", str(cfg), "primes", "pi", "3")
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = _run(capsys, "--config", str(cfg), *argv)
     assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "usage"
+    assert json.loads(err)["error"] == "usage" and repr(key) in json.loads(err)["message"]
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_config_takes_strings_and_booleans_for_untyped_flags(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": "e.csv", "svg": True}))
+    code, _, err = _run(capsys, "--config", str(cfg), "fig1", "--j", "3")
+    assert code == 0, err
+    assert (tmp_path / "e.csv").exists() and (tmp_path / "e.csv.svg").exists()
 
 
 def test_config_run_leaves_the_next_run_its_defaults(tmp_path, capsys):

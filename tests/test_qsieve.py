@@ -110,7 +110,7 @@ def test_exact_levels_match_eq13_for_snapped_gauge(engine):
     q_G = min(zs, key=lambda z: abs(z - g.q_G))
     g = dataclasses.replace(g, q_G=q_G, chi=-q_G * q_G + math.log(q_G),
                             lam=q_G * q_G / math.sqrt(N_FIG1))
-    exact = exact_energy_levels(g, k_max=5)
+    exact = exact_energy_levels(g)
     eq13 = dict(energy_levels(g))
     spacing = 2.0 * math.pi / (g.k_m * math.log(g.q_G))
     for k, e in exact:
@@ -419,7 +419,7 @@ def test_invert_global_follows_the_grid_roots_rule():
         return 1.0 + (x - lo) * (hi - x) / hi**2
 
     for g, Es in ((line, [line(lo), 2.0, 2.5, 3.5, 1.0]), (hump, [1.0, 1.1, 0.5])):
-        x, f, capped = qsieve.invert_global(np.array(Es), N, g)
+        x, f, capped, _ = qsieve.invert_global(np.array(Es), N, g)
         assert not capped.any()
         for E, got in zip(Es, x.tolist()):
             ref = grid_roots(lambda t: g(t) - E, [lo, hi], [g(lo) - E, g(hi) - E],
@@ -465,45 +465,63 @@ def test_montecarlo_degenerate_window(engine, zeros):
     assert all(v == sorted(v) for v in ks.values())
 
 
-def test_montecarlo_failure_and_memo_counts(engine, zeros, monkeypatch):
-    """Counts are deterministic; every objective evaluation is a hit or a miss."""
+@pytest.fixture
+def pi_points(monkeypatch):
+    """The x halves and the N/x halves of every `pi_approx_many` call."""
+    calls = []
+    pi_many = qsieve.pi_approx_many
+
+    def recorded(xs, *args):
+        calls.append(np.split(np.asarray(xs), 2))
+        return pi_many(xs, *args)
+
+    monkeypatch.setattr(qsieve, "pi_approx_many", recorded)
+    return calls
+
+
+def test_montecarlo_failure_and_objective_counts(engine, zeros, pi_points):
+    """Counts are deterministic; pi~ runs at x and N/x of each objective point."""
     N, j = 10000019, 446  # small enough that both failure modes occur
     G_list = (0.0, 0.5, 3.0)  # G = 3 is rejected at every draw
     mc = MonteCarloConfig(samples=4, rng_seed=1, T=50)
-    evaluations = 0  # points asked of the run's memo, hits and misses
-    pi_calls = 0  # points evaluated, not calls: a scan grid is one batch
-    pi_many = qsieve.pi_approx_many
-
-    class CountingMemo(qsieve.MemoObjective):
-        def __call__(self, x):
-            nonlocal evaluations
-            evaluations += np.size(x)
-            return super().__call__(x)
-
-    def counting_pi(xs, *args):
-        nonlocal pi_calls
-        pi_calls += np.size(xs)
-        return pi_many(xs, *args)
-
-    monkeypatch.setattr(qsieve, "MemoObjective", CountingMemo)
-    monkeypatch.setattr(qsieve, "pi_approx_many", counting_pi)
     a = montecarlo_spectrum(N, j, G_list, mc, zeros, engine)
     assert a.gauge_rejections == 4 and a.bracket_misses > 0
     assert a.failed_inversions == a.gauge_rejections + a.bracket_misses
-    assert a.memo_hits + a.memo_misses == evaluations
-    assert pi_calls == 2 * a.memo_misses
+    assert sum(x.size + y.size for x, y in pi_points) == 2 * a.objective_points == 2 * 128
     b = montecarlo_spectrum(N, j, G_list, mc, zeros, engine)
-    assert (a.gauge_rejections, a.bracket_misses, a.memo_hits, a.memo_misses) == \
-           (b.gauge_rejections, b.bracket_misses, b.memo_hits, b.memo_misses)
+    assert (a.gauge_rejections, a.bracket_misses, a.objective_points) == \
+           (b.gauge_rejections, b.bracket_misses, b.objective_points)
 
 
-def test_montecarlo_memo_matches_direct_inversion(engine, zeros):
+def test_montecarlo_lockstep_matches_direct_inversion(engine, zeros):
+    """The levels share midpoints: the 1,623 midpoints of the 69 levels of
+    3 draws are 477 distinct x, and each x equals a lone inversion of its E."""
     mc = MonteCarloConfig(samples=3, rng_seed=42, T=100)
     res = montecarlo_spectrum(N_FIG1, 10000, DEFAULT_G_GRID, mc, zeros, engine)
-    assert res.memo_hits > res.memo_misses > 0
+    assert res.objective_points == 477
     for s in res.samples:
         direct = invert_x_of_E(s.E, float(N_FIG1), 10000, zeros, mc.T)
         assert direct == s.x
+
+
+def assert_each_x_evaluated_once(pi_points, objective_points):
+    """Over a whole run pi~ saw each x, and each N/x, at most once (sqrt N
+    is its own N/x), at 2 points per objective point."""
+    xs = [v for x, _ in pi_points for v in x.tolist()]
+    ys = [v for _, y in pi_points for v in y.tolist()]
+    assert len(set(xs)) == len(xs) == len(set(ys)) == objective_points
+
+
+@pytest.mark.parametrize("samples, points", [(6, 548), (0, 0)], ids=["sieve-run", "no-draws"])
+def test_objective_evaluates_each_x_once_per_run(engine, zeros, pi_points, samples, points):
+    """The lockstep bisections start from one bracket and halve in step, so
+    only the midpoints of one halving repeat, and one evaluation serves
+    them all. The run is `sieve run --N 10969262131 --j 10000 --T 50`;
+    with no draw there is no level and pi~ is never called."""
+    mc = MonteCarloConfig(samples=samples, rng_seed=0, T=50)
+    res = montecarlo_spectrum(N_FIG1, 10000, DEFAULT_G_GRID, mc, zeros, engine)
+    assert res.objective_points == points and (pi_points == []) == (samples == 0)
+    assert_each_x_evaluated_once(pi_points, points)
 
 
 def test_density_map_classical_matches_exact_rationals(engine):
@@ -583,9 +601,9 @@ def test_quantum_map_equals_full_tolerance_map(engine, zeros, N, j, samples, see
     assert np.array_equal(dm.mass, ref.mass) and dm.points == ref.points == len(full.samples)
 
 
-def test_quantum_map_evaluates_39_points_at_the_desk(engine, zeros, monkeypatch):
+def test_quantum_map_evaluates_39_points_at_the_desk(engine, zeros, monkeypatch, pi_points):
     """At j = 10000 with 8 draws the map's run evaluates pi~ at 39 x (567
-    at full tolerance) and keeps all 184 samples."""
+    at full tolerance), each once, and keeps all 184 samples."""
     runs = []
     spectrum = qsieve.montecarlo_spectrum
 
@@ -596,7 +614,8 @@ def test_quantum_map_evaluates_39_points_at_the_desk(engine, zeros, monkeypatch)
     monkeypatch.setattr(qsieve, "montecarlo_spectrum", recorded)
     mc = MonteCarloConfig(samples=8, rng_seed=7, T=100)
     dm = density_map(N_FIG1, 10000, "quantum", engine, zeros=zeros, mc=mc)
-    assert len(runs) == 1 and runs[0].memo_misses <= 40 and dm.points == 184
+    assert len(runs) == 1 and runs[0].objective_points == 39 and dm.points == 184
+    assert_each_x_evaluated_once(pi_points, 39)
 
 
 def test_density_map_rejects_empty_binnings(engine, zeros):

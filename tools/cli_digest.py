@@ -66,6 +66,12 @@ RUNS = [
     ("phi0", ["spectrum", "phi0"]),
     ("sieve-run", ["sieve", "run", "--N", N_DESK, "--j", "10000", "--T", "50",
                    "--samples", "6", "--out", "samples.csv"]),
+    # no draw, so no inversion: the CSV is a header only
+    ("sieve-run-0", ["sieve", "run", "--N", N_DESK, "--j", "10000", "--T", "50",
+                     "--samples", "0", "--out", "samples.csv"]),
+    # a small N with gauge rejections and bracket misses next to its samples
+    ("sieve-run-failing", ["sieve", "run", "--N", "10000019", "--j", "446", "--T", "50",
+                           "--samples", "4", "--seed", "1", "--out", "samples.csv"]),
     ("sieve-invert", ["sieve", "invert", "--E", "1.00441815", "--N", N_DESK,
                       "--j", "10000", "--T", "1000"]),
     ("sieve-invert-unbracketed", ["sieve", "invert", "--E", "50", "--N", N_DESK,
