@@ -3,8 +3,9 @@
 `KummerFamily(a, b).FU` runs the regimes of `special.kummer_F` and
 `special.kummer_U` on every z of an array at once, and each element
 equals the scalar function's value bit for bit. U is the exp-sinh row
-inside _ASYMPT_RADIUS (35) and the asymptotic sum beyond it, with the
-row's weights built once per distinct ph z in a pass. F is the power
+inside _ASYMPT_RADIUS (75) and the asymptotic sum beyond it: one
+`special._row_sum` pass per distinct ph z in a pass, over all of that
+ray's |z|, the same code that the scalar row runs on one |z|. F is the power
 series inside _SERIES_RADIUS (3); beyond it, F is the U(a, b, z) of the
 same pass and one more U pass at (b - a, b, -z), joined by DLMF 13.2.41
 with one pair of factors per sign of Im z. So a pass runs one quadrature
@@ -18,8 +19,7 @@ the product (ar*br - ai*bi, ar*bi + ai*br); the quotient of
 435), with one branch for a fixed divisor and a branch per element
 otherwise; `abs` as np.hypot. Float + - * /, comparisons, np.hypot and
 np.spacing are exact in NumPy. exp and log (and phase) go through cmath
-one element at a time, and the exp-sinh row stays one NumPy row per z,
-as in `special`. Each series or sum keeps one lane per z, with a mask
+one element at a time. Each series or sum keeps one lane per z, with a mask
 that stops it at the term where the scalar loop stops (the quarter-ulp
 stop included); with fewer than _LANES_MIN z, the scalar loop runs on
 each z instead, since a NumPy call costs about as much as a scalar term.
@@ -38,6 +38,7 @@ from .special import (
     _SERIES_RADIUS,
     SpecialFunctionError,
     _asymptotic_sum,
+    _check_F_pole,
     _connection_factors,
     _es_weights,
     _hyp_series,
@@ -153,9 +154,9 @@ def _asymptotic_sum_many(a: complex, c: complex, ir, ii):
 
 
 def _u_many(a: complex, b: complex, zr, zi) -> np.ndarray:
-    """`kummer_U(a, b, z)` at every nonzero z: one exp-sinh row per z inside
-    the radius, its weights built once per distinct ph z (keyed by hex, so
-    -0.0 is not 0.0), and the asymptotic sum beyond it."""
+    """`kummer_U(a, b, z)` at every nonzero z: inside the radius, one row pass
+    per distinct ph z (keyed by hex, so -0.0 is not 0.0) over all of that
+    ray's |z|; beyond it, the asymptotic sum."""
     r = np.hypot(zr, zi)
     idx = np.arange(zr.size)
     U = np.empty(zr.size, dtype=complex)
@@ -166,14 +167,14 @@ def _u_many(a: complex, b: complex, zr, zi) -> np.ndarray:
         er, ei = each(cmath.exp, *cmul(-a.real, -a.imag, *each(cmath.log, tr, ti)))
         U.real[tail], U.imag[tail] = cmul(er, ei, *s)
     near = idx[r <= _ASYMPT_RADIUS]
-    rows = {}
+    rays = {}
     for k, z in zip(near.tolist(), pack(zr[near], zi[near]).tolist()):
         theta = -cmath.phase(z)
-        key = theta.hex()
-        if key not in rows:
-            rows[key] = _es_weights(a, b, theta)
-        weights, scale = rows[key]
-        U[k] = _row_sum(-abs(z), weights) * scale
+        rays.setdefault(theta.hex(), (theta, []))[1].append(k)
+    for theta, ks in rays.values():
+        weights, scale = _es_weights(a, b, theta)
+        row = _row_sum(r[ks], weights)
+        U.real[ks], U.imag[ks] = cmul(row.real, row.imag, scale.real, scale.imag)
     return U
 
 
@@ -189,8 +190,7 @@ class KummerFamily:
 
     def __init__(self, a: complex, b: complex):
         a, b = complex(a), complex(b)
-        if b.real <= 0 and b.imag == 0 and b.real == int(b.real):
-            raise SpecialFunctionError(f"F pole: b = {b} is a non-positive integer")
+        _check_F_pole(b)
         self.a, self.b = a, b
 
     def FU(self, z) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 
 Confluent hypergeometric F (regular) and U (irregular) on the imaginary
 axis, backed by a Lanczos complex gamma, with one quadrature rule and
-one large-|z| formula. U has two regimes, split at _ASYMPT_RADIUS (35):
+one large-|z| formula. U has two regimes, split at _ASYMPT_RADIUS (75):
 inside it, the Laplace integral DLMF 13.4.4 turned onto the ray
 arg t = -ph z and summed by an exp-sinh row, for every b and Re a > 0;
 outside it, the asymptotic series. F has two, split at _SERIES_RADIUS
@@ -14,8 +14,12 @@ and -1 otherwise, which needs Re b > Re a > 0 and z off the real axis.
 Fast paths are exact, not approximate. The asymptotic sums stop at the
 first term below a quarter ulp of both parts of the running total: no
 later term can move it, so the result is the same float as the full
-optimally truncated sum. The exp-sinh row is one NumPy pass whose
-cumulative sum adds the nodes in the order of the scalar running sum.
+optimally truncated sum. U's row is h sum_k e^{-|z| s_k} c_k: only the
+real term -|z| s_k of its exponent depends on |z|, so the complex
+weights c_k are built once per ray ph z, and the rows of any number of
+|z| on one ray are one exp of the real (z x node) outer product, whose
+cumulative sum adds the nodes in the order of a running sum. The scalar
+row is the one-element call of that pass.
 
 These are the point evaluators (the Newton solver, the matching point,
 boundary constants). A scan at fixed (a, b) goes through
@@ -31,14 +35,20 @@ The series radius was calibrated against an arbitrary-precision oracle
 on both scan families (spectral a = 3/4 - iE/4, b = 3/2; trap
 a = 1/2 + iE/4, b = 1; E up to 8): on the imaginary axis the series and
 the connection both stay within about 1e-13 relative from |z| = 2.5 to
-3, and beyond 3 the series loses digits to cancellation. F is within
-1e-13 and U within 2e-14 of the oracle for |z| from 0.3 to 400 on
-ph z = +-pi/2, the scans' rays, and both within about 1e-14 up to the
-0.2 rad off those rays that the tests tilt. Near the negative real axis
-the exp-sinh ray passes close to the cut of (1+t)^(b-a-1) at t = -1 and
-U loses digits: at |z| = 6, about 2e-9 relative at 0.1 rad from the axis
-and 1e-6 at 0.05 rad. F, which takes U at both z and -z, loses as much
-near either side of the real axis.
+3, and beyond 3 the series loses digits to cancellation. The row radius
+was measured the same way: from |z| = 36 to 500 the row stays within
+7e-15 of the oracle on both families, at z and at the (b - a, b, -z) of
+F, and the asymptotic sum within 6e-15. A benchmark spectral pass runs
+as fast with the radius anywhere from 75 to 150, and about 15% slower at
+35; at 150 its peak memory read about 0.15 MB above that at 75 or 35, so
+the radius is 75. F is within 1e-13 and U within 2e-14 of the
+oracle for |z| from 0.3 to 400 on ph z = +-pi/2, the scans' rays, and
+both within about 1e-14 up to the 0.2 rad off those rays that the tests
+tilt. Near the negative real axis the exp-sinh ray passes close to the
+cut of (1+t)^(b-a-1) at t = -1 and U loses digits: at |z| = 6, about
+2e-9 relative at 0.1 rad from the axis and 1e-6 at 0.05 rad. F, which
+takes U at both z and -z, loses as much near either side of the real
+axis.
 """
 
 from __future__ import annotations
@@ -63,9 +73,10 @@ _LANCZOS_C = (
 )
 
 _SERIES_RADIUS = 3.0
-_ASYMPT_RADIUS = 35.0
-# U's radius, which is F's; the benchmark tracer (perfbench/layers.py)
-# labels U's regimes by this name
+_ASYMPT_RADIUS = 75.0
+# The benchmark tracer (perfbench/layers.py) reads U's radius under this
+# older name to label U's regimes, and the benchmark's files stay as they
+# are; the alias keeps its labels on the radius that U uses.
 _U_ASYMPT_RADIUS = _ASYMPT_RADIUS
 _EPS = 1e-15
 _MAXTERMS = 600
@@ -104,6 +115,9 @@ def _hyp_series(a: complex, b: complex, z: complex) -> complex:
 
 
 _ES_H = 2.0 ** -5  # U's exp-sinh row on (0, inf): u = k h, k = -160..112
+# z per chunk of a row pass: its (z x node) complex terms take 35 kB, which
+# keeps a pass's transient memory within about 40 kB of one row per z
+_ROW_CHUNK = 8
 
 
 @functools.cache
@@ -116,40 +130,49 @@ def _es_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u = k * _ES_H
         log_s = 0.5 * math.pi * math.sinh(u)
         log_ds = log_s + math.log(0.5 * math.pi * math.cosh(u))
-        nodes.append((complex(math.exp(log_s)), log_ds, log_s))
+        nodes.append((math.exp(log_s), log_ds, log_s))
     return tuple(np.array(col) for col in zip(*nodes))
 
 
-def _es_weights(a: complex, b: complex, theta: float) -> tuple[tuple, complex]:
-    """U's Laplace row on the ray arg t = theta: its weights (a-1) log s and
-    (b-a-1) log(1 + s e^{i theta}), and its factor e^{i theta a} / Gamma(a)."""
+def _es_weights(a: complex, b: complex, theta: float) -> tuple[np.ndarray, complex]:
+    """U's Laplace row on the ray arg t = theta: its node weights
+    c_k = exp((a-1) log s_k + (b-a-1) log(1 + s_k e^{i theta}) + log ds_k)
+    and its factor e^{i theta a} / Gamma(a)."""
     if not a.real > 0.0:
         raise SpecialFunctionError(f"U's Laplace integral needs Re a > 0, got a = {a}")
     if abs(theta) == math.pi:
         raise SpecialFunctionError(
             "U's Laplace ray meets the cut of (1+t)^(b-a-1): z on the negative real axis")
-    s, _, log_s = _es_nodes()
-    weights = (a - 1.0) * log_s, (b - a - 1.0) * np.log1p(s * cmath.exp(1j * theta))
-    return weights, cmath.exp(1j * theta * a) / cgamma(a)
+    s, log_ds, log_s = _es_nodes()
+    c = np.exp((a - 1.0) * log_s + (b - a - 1.0) * np.log1p(s * cmath.exp(1j * theta)) + log_ds)
+    return c, cmath.exp(1j * theta * a) / cgamma(a)
 
 
-def _row_sum(x: complex, weights: tuple[np.ndarray, np.ndarray]) -> complex:
-    """h * sum_k exp(x s_k + w_k + v_k + log ds_k) over the exp-sinh nodes,
-    with the weights (w, v).
+def _row_sum(r: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """h * sum_k exp(-r s_k) c_k at every r of a 1-D array, with the weights
+    c of `_es_weights`.
 
-    One array pass over the nodes; cumsum adds them in node order, so
-    the total is the same float as a running sum.
+    Only the real term -r s_k of the exponent depends on z, so a chunk of
+    r is one exp over the (r x node) outer product. The product is held as
+    complex numbers with imaginary part 0: NumPy's complex exp, which the
+    weights use too, then takes the real exp of each, and each product
+    with c_k is (e c_re, e c_im) exactly. (NumPy's float exp is another
+    kernel, with other roundings, that a spectral run would load for this
+    alone.) cumsum adds the nodes in node order, so each total is the same
+    float as a running sum, whatever else its chunk holds.
     """
-    s, log_ds, _ = _es_nodes()
-    w_a, w_b = weights
-    # x*s + w_a + w_b + log_ds, added in place in that order
-    expo = x * s
-    expo += w_a
-    expo += w_b
-    expo += log_ds
-    total = complex(np.cumsum(np.exp(expo, out=expo))[-1])
-    total *= _ES_H
-    return total
+    s = _es_nodes()[0]
+    nr = -r
+    out = np.empty(r.size, dtype=complex)
+    for lo in range(0, r.size, _ROW_CHUNK):
+        chunk = nr[lo:lo + _ROW_CHUNK]
+        terms = np.zeros((chunk.size, s.size), dtype=complex)
+        np.multiply.outer(chunk, s, out=terms.real)
+        np.exp(terms, out=terms)
+        terms *= weights
+        out[lo:lo + _ROW_CHUNK] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+    out *= _ES_H
+    return out
 
 
 def _asymptotic_sum(a: complex, c: complex, invz: complex) -> complex:
@@ -193,15 +216,31 @@ def _connection_factors(a: complex, b: complex, y: float) -> tuple[complex, comp
             gb * cmath.exp(s * 1j * cmath.pi * (b - a)) / cgamma(a))
 
 
+def _check_F_pole(b: complex) -> None:
+    if b.real <= 0 and b.imag == 0 and b.real == int(b.real):
+        raise SpecialFunctionError(f"F pole: b = {b} is a non-positive integer")
+
+
 def kummer_F(a: complex, b: complex, z: complex) -> complex:
     """Regular confluent hypergeometric function F(a, b, z)."""
     a, b, z = complex(a), complex(b), complex(z)
-    if b.real <= 0 and b.imag == 0 and b.real == int(b.real):
-        raise SpecialFunctionError(f"F pole: b = {b} is a non-positive integer")
     if abs(z) <= _SERIES_RADIUS:
+        _check_F_pole(b)
         return _hyp_series(a, b, z)
+    return kummer_FU(a, b, z)[0]
+
+
+def kummer_FU(a: complex, b: complex, z: complex) -> tuple[complex, complex]:
+    """(kummer_F(a, b, z), kummer_U(a, b, z)), bit for bit, raising what
+    they raise in the order F then U. Beyond the series radius F is built
+    from the U that is returned, so U(a, b, z) is evaluated once."""
+    a, b, z = complex(a), complex(b), complex(z)
+    _check_F_pole(b)
+    if abs(z) <= _SERIES_RADIUS:
+        return _hyp_series(a, b, z), kummer_U(a, b, z)
     k1, k2 = _connection_factors(a, b, z.imag)
-    return k1 * kummer_U(a, b, z) + k2 * cmath.exp(z) * kummer_U(b - a, b, -z)
+    u = kummer_U(a, b, z)
+    return k1 * u + k2 * cmath.exp(z) * kummer_U(b - a, b, -z), u
 
 
 def _kummer_u_row(a: complex, b: complex, z: complex) -> complex:
@@ -209,7 +248,7 @@ def _kummer_u_row(a: complex, b: complex, z: complex) -> complex:
     z t = |z| s: e^{i theta a}/Gamma(a) * int_0^inf e^{-|z| s} s^{a-1}
     (1 + s e^{i theta})^{b-a-1} ds, summed on the exp-sinh nodes."""
     weights, scale = _es_weights(a, b, -cmath.phase(z))
-    return _row_sum(-abs(z), weights) * scale
+    return complex(_row_sum(np.array([abs(z)]), weights)[0]) * scale
 
 
 def kummer_U(a: complex, b: complex, z: complex) -> complex:

@@ -10,7 +10,7 @@ phase-anchored real projection.
 Every scan (the zero grids, each lockstep round of their false-position
 refinement and the phi0 grid) is one `KummerFamily` pass over an array
 of z at fixed E; the Newton solver and the matching point use the scalar
-`kummer_F` / `kummer_U`.
+`kummer_FU`.
 The scans import `kummer` when they run: the sieve and ensemble commands
 import this module but never scan, and so never load it.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .roots import grid_zeros
-from .special import kummer_F, kummer_U
+from .special import kummer_FU
 
 B32 = 1.5
 
@@ -74,8 +74,7 @@ def alpha_of(E: float) -> complex:
 
 def _inner_pair(E: float) -> tuple[complex, complex]:
     """(F, U)(a, 3/2, iE): the matching point sqrt(E), shared by d(E) and S(E, q_m)."""
-    a = alpha_of(E)
-    return kummer_F(a, B32, 1j * E), kummer_U(a, B32, 1j * E)
+    return kummer_FU(alpha_of(E), B32, 1j * E)
 
 
 def solve_d(E: float) -> complex:
@@ -198,13 +197,11 @@ def quantization_residual(E: float, q_m: float) -> complex:
 def _ratio_s(E: float, q_m: float, inner: tuple[complex, complex] | None = None) -> complex:
     """S(E, q_m); `inner` is `_inner_pair(E)` when the caller already has it."""
     f_in, u_in = inner if inner is not None else _inner_pair(E)
-    a = alpha_of(E)
-    z_out = 1j * q_m * q_m
-    den = f_in * kummer_U(a, B32, z_out)
+    f_out, u_out = kummer_FU(alpha_of(E), B32, 1j * q_m * q_m)
+    den = f_in * u_out
     if abs(den) < _DEGENERATE_TOL:
         raise SolverError(f"near-zero denominator in S at E={E}, q_m={q_m}")
-    num = kummer_F(a, B32, z_out) * u_in
-    return num / den
+    return f_out * u_in / den
 
 
 def solve_energy(q_m: float, guess: float) -> SpectralSolution:

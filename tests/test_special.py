@@ -89,11 +89,12 @@ def test_U_accuracy_imaginary_axis(y):
 def _U_sweep():
     """Seeded (a, b, z, mpmath a, mpmath b) of the spectral U(3/4 - iE/4, 3/2)
     and trap U(1/2 + iE/4, 1) families: E in [0.2, 8], |z| log-uniform in
-    [0.3, 400] plus the float neighbours of the radius 35, both axis signs."""
+    [0.3, 400] plus the float neighbours of U's radius, both axis signs."""
     rng = np.random.default_rng(20261019)
-    r35 = [np.nextafter(35.0, 0.0), 35.0, np.nextafter(35.0, 99.0)]
+    radius = special._ASYMPT_RADIUS
+    edge = [np.nextafter(radius, 0.0), radius, np.nextafter(radius, np.inf)]
     for family in ("spectral", "trap"):
-        rs = np.concatenate([r35, np.exp(rng.uniform(math.log(0.3), math.log(400.0), 60))])
+        rs = np.concatenate([edge, np.exp(rng.uniform(math.log(0.3), math.log(400.0), 60))])
         for E, r in zip(rng.uniform(0.2, 8.0, rs.size).tolist(), rs.tolist()):
             e4 = mp.mpf(E) / 4
             if family == "spectral":
@@ -116,12 +117,13 @@ def test_U_matches_mpmath_on_seeded_sweep():
     assert worst[0] < 1e-13, worst
 
 
-def test_U_row_vs_asymptotic_at_35():
+def test_U_row_vs_asymptotic_at_radius():
     """The exp-sinh row and the asymptotic sum agree at the radius."""
     from factorsim.special import _asymptotic_sum, _kummer_u_row
 
+    radius = special._ASYMPT_RADIUS
     for a, b in [(ALPHA1, B32), (0.5 + 0.625j, 1.0)]:
-        for z in (35j, -35j):
+        for z in (1j * radius, -1j * radius):
             row = _kummer_u_row(a, b, z)
             asym = cmath.exp(-a * cmath.log(z)) * _asymptotic_sum(a, a - b + 1.0, -1.0 / z)
             assert relerr(row, asym) < 2e-14, (a, z)
@@ -147,6 +149,19 @@ def test_U_log_case_b1(y):
     assert relerr(mine, ref) < 2e-14
 
 
+def test_FU_is_F_and_U_bit_for_bit():
+    """The scalar pair equals the two functions at every point of the sweep,
+    and raises what they raise."""
+    for _, a, b, z in _fast_path_sweep():
+        assert _bits(special.kummer_FU(a, b, z)) == _bits([kummer_F(a, b, z), kummer_U(a, b, z)])
+    with pytest.raises(SpecialFunctionError, match="F pole"):
+        special.kummer_FU(ALPHA1, -1.0, 5j)
+    with pytest.raises(SpecialFunctionError, match="needs Re b > Re a > 0"):
+        special.kummer_FU(1.75 - 0.25j, B32, 5j)
+    with pytest.raises(SpecialFunctionError, match="U undefined at z = 0"):
+        special.kummer_FU(ALPHA1, B32, 0.0)
+
+
 def test_F_pole_guard():
     with pytest.raises(SpecialFunctionError):
         kummer_F(ALPHA1, -1.0, 1j)
@@ -158,18 +173,17 @@ def test_U_zero_argument():
 
 
 def _reference_kummer_u_row(a, b, z):
-    """The scalar exp-sinh loop: one running sum per node, each weight taken
-    at its node (log(1 + s e^{i theta}) by NumPy's log1p, as the row takes it)."""
-    theta = -cmath.phase(z)
-    rot = cmath.exp(1j * theta)
-    am1 = a - 1.0
-    bam1 = b - a - 1.0
+    """The scalar exp-sinh loop: one running sum over the nodes of
+    e^{-|z| s_k} c_k, each exp by NumPy's exp of a complex exponent with
+    imaginary part 0 (as the row pass takes it) and each weight c_k as
+    `special._es_weights` builds it."""
+    weights, scale = special._es_weights(a, b, -cmath.phase(z))
     total = 0.0 + 0.0j
-    for s, log_ds, log_s in zip(*(col.tolist() for col in special._es_nodes())):
-        expo = -abs(z) * s + am1 * log_s + bam1 * complex(np.log1p(s * rot)) + log_ds
-        total += cmath.exp(expo)
+    for s, c in zip(special._es_nodes()[0].tolist(), weights.tolist()):
+        e = np.exp(complex(-abs(z) * s, 0.0)).real
+        total += complex(e * c.real, e * c.imag)
     total *= special._ES_H
-    return total * (cmath.exp(1j * theta * a) / cgamma(a))
+    return total * scale
 
 
 def _reference_asymptotic_sum(a, c, invz):
@@ -195,7 +209,7 @@ _FAMILIES = {
 
 def _fast_path_sweep():
     rng = np.random.default_rng(20261018)
-    edges = [3.0, 35.0, 2500.0]
+    edges = [special._SERIES_RADIUS, special._ASYMPT_RADIUS, 2500.0]
     for family, ab in _FAMILIES.items():
         Es = rng.uniform(0.2, 3.0, 80)
         # 20 draws in [0.3, 12]: F's series below 3 and its connection
@@ -284,12 +298,12 @@ def test_family_matches_scalar_bit_for_bit(lanes_min, monkeypatch):
 @pytest.mark.parametrize("lanes_min", ["default", "array"])
 def test_family_mixed_regimes_and_edges(lanes_min, monkeypatch):
     """One z array that crosses every regime of both functions, with each
-    radius (3, 35) and its float neighbours, in shuffled order."""
+    radius (3, and U's) and its float neighbours, in shuffled order."""
     if lanes_min == "array":
         monkeypatch.setattr(kummer, "_LANES_MIN", 0)
     rng = np.random.default_rng(7)
-    edges = [3.0, 35.0]
-    rs = edges + [np.nextafter(r, 0.0) for r in edges] + [np.nextafter(r, 99.0) for r in edges]
+    edges = [special._SERIES_RADIUS, special._ASYMPT_RADIUS]
+    rs = edges + [np.nextafter(r, 0.0) for r in edges] + [np.nextafter(r, np.inf) for r in edges]
     rs = np.concatenate([rs, np.exp(rng.uniform(math.log(0.05), math.log(3000.0), 400))])
     # off the axis by up to 0.2 rad; e^z stays finite
     tilt = np.where(rng.random(rs.size) < 0.5, 0.5, -0.5) * np.pi + rng.uniform(-0.2, 0.2, rs.size)
@@ -300,6 +314,26 @@ def test_family_mixed_regimes_and_edges(lanes_min, monkeypatch):
         F, U = KummerFamily(a, b).FU(zs)
         assert _bits(F) == _bits([kummer_F(a, b, z) for z in zs.tolist()]), family
         assert _bits(U) == _bits([kummer_U(a, b, z) for z in zs.tolist()]), family
+
+
+def test_row_pass_is_batch_invariant():
+    """A ray's row sums are the same floats whatever else their pass holds:
+    batches of 1, chunk - 1, chunk, chunk + 1 and 701 |z| per ray cross the
+    chunk boundaries, and both rays of a scan go through one `_u_many` call,
+    interleaved."""
+    chunk = special._ROW_CHUNK
+    rng = np.random.default_rng(22)
+    rs = np.exp(rng.uniform(math.log(0.3), math.log(special._ASYMPT_RADIUS), 701))
+    for family, ab in _FAMILIES.items():
+        a, b = ab(1.3)
+        weights = special._es_weights(a, b, -0.5 * math.pi)[0]
+        alone = _bits([special._row_sum(rs[k:k + 1], weights)[0] for k in range(rs.size)])
+        for n in (1, chunk - 1, chunk, chunk + 1, rs.size):
+            assert _bits(special._row_sum(rs[:n], weights)) == alone[:2 * n], (family, n)
+            zs = np.empty(2 * n, dtype=complex)
+            zs[0::2], zs[1::2] = 1j * rs[:n], -1j * rs[:n]
+            U = kummer._u_many(a, b, zs.real, zs.imag)
+            assert _bits(U) == _bits([kummer_U(a, b, z) for z in zs.tolist()]), (family, n)
 
 
 def test_family_errors():

@@ -177,6 +177,28 @@ def test_solve_energy_derivative_step_invariance(monkeypatch):
     assert abs(a.E - b.E) <= 1e-8
 
 
+def test_solve_energy_evaluates_each_U_once(monkeypatch):
+    """The matching point and the outer wall each take F and U from one
+    `kummer_FU`, so no U is evaluated twice. Each of the 10 residuals takes
+    U(a, 3/2, iE) and, beyond |z| = 3, U(a, 3/2, i q_m^2) and F's
+    U(3/2 - a, 3/2, -i q_m^2): 20 U calls beyond |z| = 3, where taking F
+    and U apart made 30."""
+    from factorsim import special
+
+    calls = []
+    evaluate = special.kummer_U
+
+    def recorded(a, b, z):
+        calls.append((a, b, z))
+        return evaluate(a, b, z)
+
+    monkeypatch.setattr(special, "kummer_U", recorded)
+    sol = solve_energy(20.0, 1.0)
+    assert sol.iterations == 4
+    assert len(set(calls)) == len(calls) == 30
+    assert sum(1 for _, _, z in calls if abs(z) > special._SERIES_RADIUS) == 20
+
+
 @pytest.mark.parametrize("qm", [5.0, 20.0, 46.6])
 def test_solve_energy_d_equals_solve_d(qm):
     """d read off the last residual's inner pair is solve_d's d, bit for bit."""

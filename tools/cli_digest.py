@@ -1,6 +1,7 @@
 """Print one sha256 per CLI output file and per stdout for a fixed run set.
 
     python3 tools/cli_digest.py [--root CHECKOUT] [--keep DIR]
+    python3 tools/cli_digest.py --diff OLD_KEEP NEW_KEEP
 
 Each run of the set below executes `python -m factorsim.cli` from the
 `src/` of CHECKOUT (default: the checkout holding this script) in its own
@@ -18,6 +19,12 @@ whose digests differ can be compared field by field:
 
     python3 tools/cli_digest.py --root OLD --keep old > old.txt
 
+--diff OLD_KEEP NEW_KEEP compares two such --keep trees without running
+anything. For each run whose files differ it prints one line: the largest
+absolute and relative change over the numbers of its CSV files and its
+stdout, and the names of its other files that differ. A CSV or stdout
+whose text differs outside its numbers is named as "changed layout".
+
 Standard library only. The set takes about ten seconds on a 2-core Xeon.
 """
 
@@ -25,7 +32,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -92,8 +101,70 @@ RUNS = [
 ]
 
 
+# a decimal number as the CLI prints it: sign, digits, point, exponent
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def read(path: str) -> bytes | None:
+    if not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def numeric_change(old: str, new: str) -> tuple[float, float] | None:
+    """(largest absolute, largest relative) change between the numbers of two
+    texts that differ only in their numbers; None if anything else differs."""
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return None
+    worst_abs = worst_rel = 0.0
+    for a, b in zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new))):
+        change = abs(b - a)
+        worst_abs = max(worst_abs, change)
+        if change:
+            worst_rel = max(worst_rel, change / abs(a) if a else math.inf)
+    return worst_abs, worst_rel
+
+
+def diff(old_dir: str, new_dir: str) -> None:
+    """One line per run of two --keep trees whose files differ."""
+    same = 0
+    for name in sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir))):
+        old_run, new_run = os.path.join(old_dir, name), os.path.join(new_dir, name)
+        files = sorted(set(os.listdir(old_run) if os.path.isdir(old_run) else [])
+                       | set(os.listdir(new_run) if os.path.isdir(new_run) else []))
+        worst_abs = worst_rel = 0.0
+        numeric, other = [], []
+        for fname in files:
+            old, new = read(os.path.join(old_run, fname)), read(os.path.join(new_run, fname))
+            if old == new:
+                continue
+            change = None
+            if old is not None and new is not None and \
+                    (fname.endswith(".csv") or fname == "stdout.txt"):
+                change = numeric_change(old.decode(), new.decode())
+                if change is None:
+                    fname += " (changed layout)"
+            if change is None:
+                other.append(fname)
+            else:
+                numeric.append(fname)
+                worst_abs, worst_rel = max(worst_abs, change[0]), max(worst_rel, change[1])
+        if not numeric and not other:
+            same += 1
+            continue
+        line = f"{name}:"
+        if numeric:
+            line += (f" max abs {worst_abs:.3g}, max rel {worst_rel:.3g}"
+                     f" over {', '.join(numeric)};")
+        if other:
+            line += f" also differ: {', '.join(other)}"
+        print(line.rstrip(";"))
+    print(f"{same} run(s) identical")
 
 
 def main() -> None:
@@ -102,7 +173,12 @@ def main() -> None:
     ap.add_argument("--root", default=here, help="checkout whose src/ is run")
     ap.add_argument("--keep", metavar="DIR",
                     help="also copy each run's files and output streams under DIR/<run>/")
+    ap.add_argument("--diff", nargs=2, metavar=("OLD_KEEP", "NEW_KEEP"),
+                    help="compare the numbers of two --keep trees instead of running")
     args = ap.parse_args()
+    if args.diff:
+        diff(*args.diff)
+        return
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(args.root), "src"))
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in RUNS:
