@@ -259,22 +259,13 @@ def _cmd_primes(args, engine: PrimeEngine) -> int:
     return 0
 
 
-def _ensemble_rows(entries) -> list[list[str]]:
-    rows = []
-    for e in entries:
-        rows.append([
-            str(e.x), str(e.y), str(e.N), str(e.j), str(e.pix), str(e.piy),
-            _g(float(e.E)), _g(float(e.q)), _g(float(e.p)),
-        ])
-    return rows
-
-
 def _cmd_ensemble(args, engine: PrimeEngine) -> int:
     query = EnsembleQuery(j=args.j, x_min=args.x_min, x_max=args.x_max)
     entries = enumerate_ensemble(query, engine)
-    _write_text(args.out, _csv(_ensemble_rows(entries),
-                               ["x", "y", "N", "j", "pix", "piy",
-                                "E_decimal", "q_decimal", "p_decimal"]))
+    rows = [[str(e.x), str(e.y), str(e.N), str(e.j), str(e.pix), str(e.piy),
+             _g(float(e.E)), _g(float(e.q)), _g(float(e.p))] for e in entries]
+    _write_text(args.out, _csv(rows, ["x", "y", "N", "j", "pix", "piy",
+                                      "E_decimal", "q_decimal", "p_decimal"]))
     _write_manifest(args.out, "ensemble enumerate",
                     {"j": args.j, "x_min": args.x_min, "x_max": args.x_max})
     print(f"wrote {len(entries)} entries to {args.out}")

@@ -1,8 +1,6 @@
 """Factorization ensembles: semiprimes N = x*y grouped by j = pi(isqrt(N)).
 
-The energy E = pi(x)*pi(y)/j^2 and the phase coordinates
-q = (pi(x)+pi(y))/2j, p = (pi(y)-pi(x))/2j are kept as exact rationals;
-floats appear only when rows are rendered for CSV output.
+Entries store integers; E, q and p are exact rationals built when read.
 """
 
 from __future__ import annotations
@@ -19,15 +17,27 @@ from .primes import PrimeEngine, PrimeRangeError, is_prime
 
 @dataclass(frozen=True, slots=True)
 class EnsembleEntry:
+    """A pair x <= y of the j-ensemble. Below 2^53, pix*piy, pix+piy, j*j and
+    2j are exact doubles: one division of two is float(E), float(q) or float(p)."""
+
     x: int
     y: int
     N: int
     j: int
     pix: int
     piy: int
-    E: Fraction
-    q: Fraction
-    p: Fraction
+
+    @property
+    def E(self) -> Fraction:
+        return Fraction(self.pix * self.piy, self.j * self.j)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self.pix + self.piy, 2 * self.j)
+
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self.piy - self.pix, 2 * self.j)
 
 
 @dataclass(frozen=True)
@@ -114,21 +124,13 @@ def enumerate_ensemble(query: EnsembleQuery, engine: PrimeEngine) -> list[Ensemb
 
     Sorted by N then x. The pairs and their pi values come from
     `ensemble_arrays`, which reads both factors off one sieve table; this
-    wrapper sorts them and adds the exact rationals.
+    wrapper sorts them into entries of Python ints.
     """
     x, y, pix, piy = ensemble_arrays(query.j, query.x_min, query.x_max, engine)
     order = np.lexsort((x, x * y))
     x, y, pix, piy = x[order], y[order], pix[order], piy[order]
-    j = query.j
-    return [
-        EnsembleEntry(
-            x=xv, y=yv, N=xv * yv, j=j, pix=a, piy=b,
-            E=Fraction(a * b, j * j),
-            q=Fraction(a + b, 2 * j),
-            p=Fraction(b - a, 2 * j),
-        )
-        for xv, yv, a, b in zip(x.tolist(), y.tolist(), pix.tolist(), piy.tolist())
-    ]
+    return [EnsembleEntry(x=xv, y=yv, N=xv * yv, j=query.j, pix=a, piy=b)
+            for xv, yv, a, b in zip(x.tolist(), y.tolist(), pix.tolist(), piy.tolist())]
 
 
 def spectrum_points(query: EnsembleQuery, engine: PrimeEngine) -> list[tuple[Fraction, int]]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral
 from .qsieve import measurements_budget
-from .special import kummer_F, kummer_U
+from .special import kummer_FU
 
 HBAR = 1.054571817e-34  # J s
 PLANCK_H = 6.62607015e-34  # J s
@@ -190,10 +190,10 @@ def trap_boundary_constant(e_prime: float, params: TrapParameters) -> complex:
     if E <= 0:
         raise TrapPlanError("boundary needs a bound state (E' < 0)")
     beta = trap_beta(e_prime, params)
-    f = kummer_F(beta, 1.0, -1j * E)
+    f, u = kummer_FU(beta, 1.0, -1j * E)
     if abs(f) == 0.0:
         raise TrapPlanError("boundary matching failed: F vanished")
-    return -kummer_U(beta, 1.0, -1j * E) / f
+    return -u / f
 
 
 def trap_wavefunction(rho: float, e_prime: float, params: TrapParameters,

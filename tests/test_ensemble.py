@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -44,11 +45,8 @@ def reference_ensemble(query: EnsembleQuery, engine) -> list:
             continue
         for y in range(max(x, -(-n_lo // x)), (n_hi - 1) // x + 1):
             if is_prime(y):
-                pix, piy = engine.pi(x), engine.pi(y)
-                out.append(EnsembleEntry(
-                    x=x, y=y, N=x * y, j=j, pix=pix, piy=piy,
-                    E=Fraction(pix * piy, j * j),
-                    q=Fraction(pix + piy, 2 * j), p=Fraction(piy - pix, 2 * j)))
+                out.append(EnsembleEntry(x=x, y=y, N=x * y, j=j,
+                                         pix=engine.pi(x), piy=engine.pi(y)))
     return sorted(out, key=lambda e: (e.N, e.x))
 
 
@@ -180,6 +178,40 @@ def test_enumerate_matches_is_prime_reference(j, engine):
         assert got == reference_ensemble(query, engine), query
         assert all(type(v) is int
                    for e in got for v in (e.x, e.y, e.N, e.j, e.pix, e.piy))
+        # E, q and p are not compared by entry equality: check them here
+        assert [(e.E, e.q, e.p) for e in got] == [
+            (Fraction(e.pix * e.piy, j * j), Fraction(e.pix + e.piy, 2 * j),
+             Fraction(e.piy - e.pix, 2 * j)) for e in reference_ensemble(query, engine)]
+
+
+def test_entry_stores_its_six_integers(engine):
+    """E, q and p are derived when read: the entry holds x, y, N, j, pix
+    and piy only, so equal integers give equal, equally hashed entries."""
+    assert [f.name for f in dataclasses.fields(EnsembleEntry)] == \
+        ["x", "y", "N", "j", "pix", "piy"]
+    e = EnsembleEntry(x=2, y=13, N=26, j=3, pix=1, piy=6)
+    assert (e.E, e.q, e.p) == (Fraction(2, 3), Fraction(7, 6), Fraction(5, 6))
+    assert e in set(enumerate_ensemble(EnsembleQuery(j=3), engine))
+    with pytest.raises(TypeError):
+        EnsembleEntry(x=2, y=13, N=26, j=3, pix=1, piy=6, E=Fraction(2, 3))
+
+
+def test_entry_floats_are_one_division(engine):
+    """`qsieve.density_map` bins pix * piy / (j * j) as int64 columns over a
+    double: below 2^53 both operands are exact doubles and one IEEE division
+    is correctly rounded, so it equals float(e.E); likewise q and p."""
+    j = 1000
+    entries = enumerate_ensemble(EnsembleQuery(j=j), engine)
+    x, y, pix, piy = ensemble_arrays(j, None, None, engine)
+    order = np.lexsort((x, x * y))
+    pix, piy = pix[order], piy[order]
+    assert len(entries) == pix.size == 21466
+    assert (pix * piy).max() < 2**53
+    assert [float(e.E) for e in entries] == (pix * piy / float(j * j)).tolist()
+    assert [float(e.q) for e in entries] == ((pix + piy) / float(2 * j)).tolist()
+    assert [float(e.p) for e in entries] == ((piy - pix) / float(2 * j)).tolist()
+    # at 2^53 + 1 the numerator is no longer a double, and one division is off
+    assert float(Fraction(2**53 + 1, 3)) != float(2**53 + 1) / 3.0
 
 
 def test_entry_invariants(engine):

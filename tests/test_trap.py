@@ -103,6 +103,30 @@ def test_trap_boundary_zero(plan):
     assert abs(val) <= 1e-9 * ref
 
 
+@pytest.mark.parametrize("E, rows", [(1.0, 1), (4.0, 2)])
+def test_trap_boundary_constant_evaluates_each_U_once(plan, monkeypatch, E, rows):
+    """F and U come from one `kummer_FU`: beyond |z| = 3 F is built from the
+    U(beta, 1, -iE) it returns, so no exp-sinh row runs twice. c is the same
+    -U/F, bit for bit, as with F and U taken apart."""
+    from factorsim import special
+
+    calls = []
+    row = special._kummer_u_row
+
+    def recorded(a, b, z):
+        calls.append((a, b, z))
+        return row(a, b, z)
+
+    p = plan.params
+    _, ep = to_physical(0.0, E, p)
+    monkeypatch.setattr(special, "_kummer_u_row", recorded)
+    c = trap_boundary_constant(ep, p)
+    assert len(set(calls)) == len(calls) == rows
+    monkeypatch.undo()
+    beta, z = trap_beta(ep, p), -1j * trap.to_dimensionless(0.0, ep, p)[1]
+    assert c == -kummer_U(beta, 1.0, z) / kummer_F(beta, 1.0, z)
+
+
 def test_trap_density_integrable_at_origin(plan):
     p = plan.params
     _, ep = to_physical(0.0, 1.0, p)

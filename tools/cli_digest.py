@@ -88,6 +88,8 @@ RUNS = [
     ("ensemble-1000", ["ensemble", "enumerate", "--j", "1000", "--out", "ens.csv"]),
     ("ensemble-50-window", ["ensemble", "enumerate", "--j", "50", "--x-min", "40",
                             "--x-max", "200", "--out", "ens.csv"]),
+    # the pairs (2, 2) and (2, 3): integer and half-integer q and p
+    ("ensemble-1", ["ensemble", "enumerate", "--j", "1", "--out", "ens.csv"]),
     ("primes-nth", ["primes", "nth", "700000"]),
     ("primes-pi", ["primes", "pi", "1000000"]),
     # 2^21 + 1, the first odd of the second 2^20-odd sieve page
