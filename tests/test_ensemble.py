@@ -174,14 +174,14 @@ def test_enumerate_matches_is_prime_reference(j, engine):
         EnsembleQuery(j=j, x_min=pj + 1),
     ]
     for query in queries:
-        got = enumerate_ensemble(query, engine)
-        assert got == reference_ensemble(query, engine), query
+        got, ref = enumerate_ensemble(query, engine), reference_ensemble(query, engine)
+        assert got == ref, query
         assert all(type(v) is int
                    for e in got for v in (e.x, e.y, e.N, e.j, e.pix, e.piy))
-        # E, q and p are not compared by entry equality: check them here
+        # entry equality compares the six integers only: check E, q and p here
         assert [(e.E, e.q, e.p) for e in got] == [
             (Fraction(e.pix * e.piy, j * j), Fraction(e.pix + e.piy, 2 * j),
-             Fraction(e.piy - e.pix, 2 * j)) for e in reference_ensemble(query, engine)]
+             Fraction(e.piy - e.pix, 2 * j)) for e in ref]
 
 
 def test_entry_stores_its_six_integers(engine):
@@ -193,7 +193,8 @@ def test_entry_stores_its_six_integers(engine):
     assert (e.E, e.q, e.p) == (Fraction(2, 3), Fraction(7, 6), Fraction(5, 6))
     assert e in set(enumerate_ensemble(EnsembleQuery(j=3), engine))
     with pytest.raises(TypeError):
-        EnsembleEntry(x=2, y=13, N=26, j=3, pix=1, piy=6, E=Fraction(2, 3))
+        EnsembleEntry(x=2, y=13, N=26, j=3, pix=1, piy=6,
+                      E=Fraction(2, 3), q=Fraction(7, 6), p=Fraction(5, 6))
 
 
 def test_entry_floats_are_one_division(engine):
