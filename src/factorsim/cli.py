@@ -262,8 +262,10 @@ def _cmd_primes(args, engine: PrimeEngine) -> int:
 def _cmd_ensemble(args, engine: PrimeEngine) -> int:
     query = EnsembleQuery(j=args.j, x_min=args.x_min, x_max=args.x_max)
     entries = enumerate_ensemble(query, engine)
+    # int / int is correctly rounded, as float(Fraction) is: no Fraction is built
     rows = [[str(e.x), str(e.y), str(e.N), str(e.j), str(e.pix), str(e.piy),
-             _g(float(e.E)), _g(float(e.q)), _g(float(e.p))] for e in entries]
+             _g(e.pix * e.piy / (e.j * e.j)), _g((e.pix + e.piy) / (2 * e.j)),
+             _g((e.piy - e.pix) / (2 * e.j))] for e in entries]
     _write_text(args.out, _csv(rows, ["x", "y", "N", "j", "pix", "piy",
                                       "E_decimal", "q_decimal", "p_decimal"]))
     _write_manifest(args.out, "ensemble enumerate",

@@ -15,17 +15,26 @@ import numpy as np
 from .primes import PrimeEngine, PrimeRangeError, is_prime
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EnsembleEntry:
     """A pair x <= y of the j-ensemble. Below 2^53, pix*piy, pix+piy, j*j and
-    2j are exact doubles: one division of two is float(E), float(q) or float(p)."""
+    2j are exact doubles: one division of two is float(E), float(q) or float(p).
 
+    The slots are declared here rather than by `slots=True`, whose rebuilt
+    class makes the frozen `__setattr__` raise TypeError for a name that is
+    not a field (E, q, p); here every assignment raises FrozenInstanceError.
+    """
+
+    __slots__ = ("x", "y", "N", "j", "pix", "piy")
     x: int
     y: int
     N: int
     j: int
     pix: int
     piy: int
+
+    def __reduce__(self):  # pickle and copy; the default sets each slot, which frozen refuses
+        return EnsembleEntry, (self.x, self.y, self.N, self.j, self.pix, self.piy)
 
     @property
     def E(self) -> Fraction:

@@ -406,8 +406,11 @@ def invert_x_of_E(
     deterministically (the probabilistic sieve reading); it is a one-E
     call of `invert_global`. Passing `near` scans 17 points of
     near*(1 +- 0.005), narrowed by thirds until a root shows, and returns
-    the root closest to `near`, to certify a known root; each scan grid is
-    one array call of the objective and goes through `roots.grid_roots`.
+    the root closest to `near` (the first in x on a tie), to certify a
+    known root; each scan grid is one array call of the objective and goes
+    through `roots.grid_roots(near=)`, which bisects only the sign changes
+    whose root can be the closest: none when a sample is exactly on the
+    root at `near`.
     On both paths a sample where the objective is exactly E is a root, and
     a sign change is bisected to a relative width of INVERT_REL_TOL.
     Raises BracketError when no root shows.
@@ -428,10 +431,10 @@ def invert_x_of_E(
     w = _NEAR_WINDOW
     for _ in range(6):
         xs = np.linspace(near * (1.0 - w), min(near * (1.0 + w), math.sqrt(N)), 17)
-        roots = grid_roots(f, xs, f(xs), rtol=INVERT_REL_TOL)
+        # the eta oscillations can put a second root inside the window
+        roots = grid_roots(f, xs, f(xs), rtol=INVERT_REL_TOL, near=near)
         if roots:
-            # the eta oscillations can put a second root inside the window
-            return min(roots, key=lambda r: abs(r - near))
+            return roots[0]
         w /= 3.0
     raise BracketError(f"no sign change around {near:.6g} down to +-{w:.2g}")
 

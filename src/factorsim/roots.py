@@ -16,10 +16,13 @@ superlinearly, in a few rounds instead of about 35 halvings.
 `grid_roots` (bisection) and `grid_zeros` (false position) take each
 sample of a sampled function where it is exactly 0.0 as a root and send
 every strict sign change between neighbours through one lockstep call.
+`grid_roots(near=)` returns only the root closest to `near`, and sends
+only the cells that can hold it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,17 +138,29 @@ def false_position_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, 
     return roots, capped
 
 
-def _on_grid(refine: Callable, xs: Sequence[float],
-             fs: Sequence[float]) -> tuple[list[float], list[tuple[float, float]]]:
+def _on_grid(refine: Callable, xs: Sequence[float], fs: Sequence[float],
+             near: float | None = None) -> tuple[list[float], list[tuple[float, float]]]:
     """The roots of a sampled function in sample order, and the cells whose
     lane ran out of rounds: each sample where fs is exactly 0.0 is a root,
     and `refine(lo, hi, f_lo, f_hi)` -> (roots, capped) refines every cell
-    [xs[i], xs[i+1]] with a strict sign change in one lockstep call."""
+    [xs[i], xs[i+1]] with a strict sign change in one lockstep call.
+
+    With `near`, a cell whose near edge is farther from `near` than some
+    root can be is left out: farther than an exact-zero sample, or than the
+    far edge of a sign-change cell. A refined root lies in its closed cell
+    and float subtraction rounds monotonically, so a left-out cell's root
+    is strictly farther from `near` than the closest root, and the cells
+    kept are refined exactly as they would be with every cell."""
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     samples = np.arange(xs.size)
     zero = samples[fs == 0.0]
     cells = samples[:-1][fs[:-1] * fs[1:] < 0.0]
+    if near is not None:
+        lo, hi = xs[cells].tolist(), xs[cells + 1].tolist()
+        best = min([abs(x - near) for x in xs[zero].tolist()]
+                   + [max(near - a, b - near) for a, b in zip(lo, hi)], default=math.inf)
+        cells = cells[[a - near <= best and near - b <= best for a, b in zip(lo, hi)]]
     roots, capped = refine(xs[cells], xs[cells + 1], fs[cells], fs[cells + 1])
     found = zip(zero.tolist() + cells.tolist(), xs[zero].tolist() + roots.tolist())
     stuck = cells[capped]
@@ -153,19 +168,25 @@ def _on_grid(refine: Callable, xs: Sequence[float],
 
 
 def grid_roots(f: Callable[[np.ndarray], np.ndarray], xs: Sequence[float],
-               fs: Sequence[float], rtol: float = 0.0) -> list[float]:
+               fs: Sequence[float], rtol: float = 0.0,
+               near: float | None = None) -> list[float]:
     """Roots of f on the ascending samples xs, where fs[i] = f(xs[i]), in
     sample order, by bisection.
 
     f takes a 1-D array of x and returns f at each. A sample where f is
     exactly 0.0 is a root, returned as is; each strict sign change between
     neighbours is one lane of a single `bisect_lanes` call, halved until
-    its width falls below rtol*mid.
+    its width falls below rtol*mid. With `near`, the list holds only the
+    root closest to `near` (the first in sample order on a tie), and only
+    the cells that can hold it are bisected.
     """
     def refine(lo, hi, f_lo, f_hi):
         return bisect_lanes(lambda mid, live: f(mid), lo, hi, f_lo, rtol)
 
-    return _on_grid(refine, xs, fs)[0]
+    roots = _on_grid(refine, xs, fs, near)[0]
+    if near is None or not roots:
+        return roots
+    return [min(roots, key=lambda r: abs(r - near))]
 
 
 def grid_zeros(f: Callable[[np.ndarray], np.ndarray], xs: Sequence[float],

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +197,18 @@ def test_entry_stores_its_six_integers(engine):
     with pytest.raises(TypeError):
         EnsembleEntry(x=2, y=13, N=26, j=3, pix=1, piy=6,
                       E=Fraction(2, 3), q=Fraction(7, 6), p=Fraction(5, 6))
+
+
+def test_entry_is_frozen():
+    """Assigning a field, a derived E, q or p, or any other name raises
+    FrozenInstanceError; entries hold no __dict__ and still pickle and copy."""
+    e = EnsembleEntry(x=2, y=13, N=26, j=3, pix=1, piy=6)
+    for name in ("x", "piy", "E", "q", "p", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, name, Fraction(1, 2))
+    assert not hasattr(e, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert twin == e and hash(twin) == hash(e) and twin.E == Fraction(2, 3)
 
 
 def test_entry_floats_are_one_division(engine):

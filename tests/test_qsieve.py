@@ -405,6 +405,88 @@ def test_invert_near_offset_round_trip(engine, zeros, monkeypatch):
     assert tested == cases and matched >= 0.95 * cases
 
 
+def _criterion_8_cases(engine, zeros, rng, count):
+    """Seeded j = 1000 criterion-8 inputs (E, N, j, x), x > B_G and E_loop
+    in (1, 9/8)."""
+    entries = enumerate_ensemble(EnsembleQuery(j=1000), engine)
+    cases = []
+    for i in rng.permutation(len(entries)):
+        e = entries[i]
+        x = float(e.x)
+        if e.x <= make_gauge(e.N, 0.0, engine, j=e.j).B_G:
+            continue
+        E = qsieve.inversion_objective(float(e.N), e.j, zeros, 100)(np.array([x])).tolist()[0]
+        if 1.0 < E < 9.0 / 8.0:
+            cases.append((E, float(e.N), e.j, x))
+        if len(cases) == count:
+            return cases
+    raise AssertionError("too few criterion-8 cases")
+
+
+def _every_root_then_closest(E, N, j, zeros, T, near):
+    """The near= scan of invert_x_of_E with every sign change bisected and
+    the root closest to `near` taken afterwards."""
+    g = qsieve.inversion_objective(N, j, zeros, T)
+
+    def f(x):
+        return g(x) - E
+
+    w = qsieve._NEAR_WINDOW
+    for _ in range(6):
+        xs = np.linspace(near * (1.0 - w), min(near * (1.0 + w), math.sqrt(N)), 17)
+        roots = grid_roots(f, xs, f(xs), rtol=INVERT_REL_TOL)
+        if roots:
+            return min(roots, key=lambda r: abs(r - near))
+        w /= 3.0
+    return None
+
+
+def test_invert_near_equals_every_root_then_closest(engine, zeros):
+    """The near= scan bisects only the cells that can hold the closest root,
+    and returns bit for bit the root of bisecting every cell and taking the
+    closest, with `near` on the root and off it by up to the whole window."""
+    rng = np.random.default_rng(24)
+    for E, N, j, x in _criterion_8_cases(engine, zeros, rng, 40):
+        for near in (x, x * (1.0 + rng.uniform(-0.3, 0.3) * qsieve._NEAR_WINDOW),
+                     x * (1.0 + rng.uniform(-1.0, 1.0) * qsieve._NEAR_WINDOW)):
+            got = invert_x_of_E(E, N, j, zeros, 100, near=near)
+            assert got.hex() == _every_root_then_closest(E, N, j, zeros, 100, near).hex()
+
+
+def test_invert_near_exact_sample_skips_the_far_sign_change(engine, zeros, monkeypatch):
+    """When a scan sample is exactly on the root at `near` and another cell
+    of the grid changes sign, the inversion makes one objective call (the
+    17 samples) and bisects nothing."""
+    objective = qsieve.inversion_objective
+    calls = []
+
+    def counting_objective(*args):
+        g = objective(*args)
+
+        def counted(y):
+            calls.append(len(y))
+            return g(y)
+
+        return counted
+
+    found = 0
+    for E, N, j, x in _criterion_8_cases(engine, zeros, np.random.default_rng(5), 60):
+        w = qsieve._NEAR_WINDOW
+        xs = np.linspace(x * (1.0 - w), min(x * (1.0 + w), math.sqrt(N)), 17)
+        fs = objective(N, j, zeros, 100)(xs) - E
+        if not (x in xs[fs == 0.0].tolist() and (fs[:-1] * fs[1:] < 0.0).any()):
+            continue
+        assert len(grid_roots(lambda t: objective(N, j, zeros, 100)(t) - E, xs, fs,
+                              rtol=INVERT_REL_TOL)) >= 2
+        monkeypatch.setattr(qsieve, "inversion_objective", counting_objective)
+        calls.clear()
+        assert invert_x_of_E(E, N, j, zeros, 100, near=x) == x
+        assert calls == [17]
+        monkeypatch.setattr(qsieve, "inversion_objective", objective)
+        found += 1
+    assert found >= 5
+
+
 def test_invert_global_follows_the_grid_roots_rule():
     """Per E, the lockstep inversion equals grid_roots on the bracket's two
     ends: an end where the objective is exactly E is the root, the lower end

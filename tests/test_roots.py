@@ -224,6 +224,86 @@ def _one_lane(f, lo, hi, f_lo, **tol):
     return roots.tolist()[0], capped.tolist()[0]
 
 
+def closest_root(f, xs, fs, rtol, near):
+    """Every root of the grid, then the one closest to `near`, the first in
+    sample order on a tie: the rule `grid_roots(near=)` must equal."""
+    roots = grid_roots(f, xs, fs, rtol=rtol)
+    return [min(roots, key=lambda r: abs(r - near))] if roots else []
+
+
+def _near_both(f, xs, fs, near, rtol=1e-9):
+    """grid_roots(near=) against `closest_root`, bit for bit, and each cell
+    it bisects through the same midpoints: (root, cells bisected, cells the
+    reference bisected)."""
+    rec_ref, rec = Recorded(f), Recorded(f)
+    ref = closest_root(rec_ref, xs, fs, rtol, near)
+    got = grid_roots(rec, xs, fs, rtol=rtol, near=near)
+    assert [r.hex() for r in got] == [r.hex() for r in ref]
+    kept, every = by_cell(rec.calls, xs), by_cell(rec_ref.calls, xs)
+    assert all(every[c] == calls for c, calls in kept.items())
+    return got, set(kept), set(every)
+
+
+def test_grid_roots_near_exact_zero_skips_far_sign_changes():
+    def f(x):
+        return (x - 2.0) * (x - 3.3) * (x - 4.7)
+
+    xs = [float(x) for x in np.linspace(1.0, 5.0, 17)]  # 2.0 is a sample
+    fs = [f(x) for x in xs]
+    assert fs.count(0.0) == 1
+    got, kept, every = _near_both(f, xs, fs, 2.0)
+    assert got == [2.0] and kept == set() and len(every) == 2
+    # a little off the sample, the exact zero still wins without bisection
+    got, kept, every = _near_both(f, xs, fs, 2.1)
+    assert got == [2.0] and kept == set()
+
+
+def test_grid_roots_near_inside_a_sign_change_cell():
+    def f(x):
+        return math.sin(x) + 0.3 * math.sin(3.1 * x)
+
+    xs = [float(x) for x in np.linspace(2.0, 40.0, 17)]
+    fs = [f(x) for x in xs]
+    cells = [i for i in range(16) if fs[i] * fs[i + 1] < 0.0]
+    for i in cells:
+        for near in (0.5 * (xs[i] + xs[i + 1]), xs[i], xs[i + 1]):
+            got, kept, every = _near_both(f, xs, fs, near)
+            assert i in kept and kept < every
+
+
+def test_grid_roots_near_two_exact_zeros_and_a_tie():
+    def f(x):
+        return (x - 2.0) * (x - 3.0) * (x - 5.3)
+
+    xs = [float(x) for x in np.linspace(1.0, 6.0, 21)]  # 2.0 and 3.0 are samples
+    fs = [f(x) for x in xs]
+    assert fs.count(0.0) == 2
+    assert _near_both(f, xs, fs, 2.4)[:2] == ([2.0], set())
+    assert _near_both(f, xs, fs, 2.6)[:2] == ([3.0], set())
+    # 2.5 is 0.5 from both: the first in sample order wins, as min() picks it
+    assert _near_both(f, xs, fs, 2.5)[:2] == ([2.0], set())
+    # nearer 5.3 than 3.0, the sign change is bisected and wins
+    got, kept, _ = _near_both(f, xs, fs, 5.0)
+    assert len(kept) == 1 and abs(got[0] - 5.3) < 1e-8
+
+
+def test_grid_roots_near_far_edge_prunes_without_exact_zero():
+    # no sample on a root: only the far edge of the closest cell bounds the
+    # distance, and the cells whose near edge lies beyond it are not bisected
+    def f(x):
+        return math.cos(3.0 * x) + 0.2
+
+    xs = [float(x) for x in np.linspace(0.3, 9.0, 23)]
+    fs = [f(x) for x in xs]
+    assert 0.0 not in fs
+    pruned = 0
+    for near in np.linspace(-1.0, 10.0, 111).tolist():
+        got, kept, every = _near_both(f, xs, fs, near)
+        assert 1 <= len(kept) <= 2 and kept <= every
+        pruned += len(every) - len(kept)
+    assert pruned > 100 * 6
+
+
 def test_bisect_root_caps_at_200_halvings():
     f = Recorded(lambda x: x - math.pi)
     r, capped = _one_lane(f, 3.0, 4.0, 3.0 - math.pi)
