@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -129,11 +129,16 @@ class PrimeTable:
     words before word w, built on the first count. Both answer every query:
     pi from a word's count plus the popcount of its bits up to x, the
     n-th prime by a search over the counts.
+
+    A table `grown_from` a smaller one copies that table's whole 64-bit
+    words and sieves pages only from the first odd after them: a page may
+    start at any odd (Bays & Hudson), so no odd is sieved twice.
     """
 
     limit: int
+    grown_from: InitVar[PrimeTable | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, grown_from):
         if self.limit < 3:
             self.limit = 3
         root = math.isqrt(self.limit) + 1
@@ -146,8 +151,12 @@ class PrimeTable:
         base_primes = 2 * np.nonzero(base)[0] + 1
         n_total_odds = (self.limit - 1) // 2 + 1  # odds 1,3,...,<=limit
         self._packed = np.zeros(((n_total_odds + 63) >> 6) << 3, dtype=np.uint8)
+        kept = 0
+        if grown_from is not None:  # whole words of odds that both tables hold
+            kept = (min((grown_from.limit - 1) // 2 + 1, n_total_odds) >> 6) << 6
+            self._packed[: kept >> 3] = grown_from._packed[: kept >> 3]
         # page by page, to bound the boolean temporary of the sieve
-        for done in range(0, n_total_odds, _PAGE_ODDS):
+        for done in range(kept, n_total_odds, _PAGE_ODDS):
             page = _sieve_odd_page(2 * done + 1, min(_PAGE_ODDS, n_total_odds - done), base_primes)
             bits = np.packbits(page)
             self._packed[done >> 3 : (done >> 3) + bits.size] = bits
@@ -296,8 +305,9 @@ class PrimeEngine:
     """Front door for prime queries, owning one PrimeTable.
 
     No table is sieved until a query needs one; `ensure_limit` then sieves
-    one to max(its limit, 2*10^6), and again whenever a query reaches
-    beyond the current table.
+    one to max(its limit, 2*10^6). Whenever a query reaches beyond the
+    current table, the table grows: the new one keeps the old one's whole
+    words and sieves only the odds after them.
     """
 
     def __init__(self):
@@ -311,7 +321,7 @@ class PrimeEngine:
 
     def ensure_limit(self, limit: int) -> None:
         if self._table is None or limit > self._table.limit:
-            self._table = PrimeTable(max(limit, _ENGINE_SIEVE_LIMIT))
+            self._table = PrimeTable(max(limit, _ENGINE_SIEVE_LIMIT), self._table)
 
     def pi(self, x: int) -> int:
         """Exact pi(x): the sieve table up to max(its limit, 1e8), Lucy beyond."""

@@ -110,12 +110,21 @@ def make_gauge(N, G: float, engine: PrimeEngine, j: int = 0) -> GaugeConfig:
     q_G = N^(1/6) / (log sqrt N)^G. N may be a float (the Monte-Carlo
     step feeds perturbed sqrt(N')^2 values).
     """
+    return _gauge_from(N, G, engine.nearest_prime(_gauge_target(N, G)), j)
+
+
+def _gauge_target(N, G: float) -> float:
+    """The t whose nearest prime is B_G, once N and G pass `make_gauge`'s checks."""
     if N < 1e4:
         raise GaugeError("gauge needs N >= 1e4")
     if G < 0:
         raise GaugeError("gauge exponent must be >= 0")
+    return 0.375 * N ** (1.0 / 3.0) * (0.5 * math.log(N)) ** G
+
+
+def _gauge_from(N, G: float, B_G: int, j: int) -> GaugeConfig:
+    """`make_gauge` from a B_G already found: the gauge and its scale checks."""
     log_sqrt = 0.5 * math.log(N)
-    B_G = engine.nearest_prime(0.375 * N ** (1.0 / 3.0) * log_sqrt**G)
     q_G = N ** (1.0 / 6.0) / log_sqrt**G
     lam = q_G * q_G / math.sqrt(N)
     k_m = 1.5 * math.pi * log_sqrt ** (3.0 * G)
@@ -532,6 +541,35 @@ class MonteCarloResult:
 DEFAULT_G_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
+def _gauge_column(Ns: list, G: float, engine: PrimeEngine, j: int) -> list:
+    """make_gauge(N, G, engine, j) for every N of Ns, None where it raises GaugeError.
+
+    `nearest_prime` is non-decreasing in t, its tie rule included, so when
+    the least and the greatest target share their prime, so does every
+    target between them: two searches serve the column. Otherwise each
+    target is searched on its own.
+    """
+    gauges = [None] * len(Ns)
+    targets = {}
+    for d, N in enumerate(Ns):
+        try:
+            targets[d] = _gauge_target(N, G)
+        except GaugeError:
+            pass
+    if not targets:
+        return gauges
+    lo, hi = min(targets.values()), max(targets.values())
+    shared = engine.nearest_prime(lo)
+    if hi > lo and engine.nearest_prime(hi) != shared:
+        shared = None
+    for d, t in targets.items():
+        try:
+            gauges[d] = _gauge_from(Ns[d], G, shared or engine.nearest_prime(t), j)
+        except GaugeError:
+            pass
+    return gauges
+
+
 def montecarlo_spectrum(
     N: int,
     j: int,
@@ -546,9 +584,10 @@ def montecarlo_spectrum(
 
     Per-draw RNG substreams are derived from (seed, draw index), so any
     parallel split over draws (expressed through `first_draw` slices)
-    reproduces the serial output bit for bit. Every (draw, G, k, E) is
-    listed first, in that order; then all of them are inverted in
-    lockstep on the global bracket (`invert_global`). Each halving is one
+    reproduces the serial output bit for bit. B_G is searched once per G
+    for all draws (`_gauge_column`). Every (draw, G, k, E) is listed
+    first, in that order; then all of them are inverted in lockstep on
+    the global bracket (`invert_global`). Each halving is one
     objective call over the distinct midpoints of every level still
     bisecting, and each x equals a lone `invert_x_of_E(E, N, j, zeros, T)`
     bit for bit unless `settled`, passed on to `invert_global`, stops its
@@ -560,20 +599,22 @@ def montecarlo_spectrum(
     if budget < 0:
         raise ValueError(f"samples = {budget} must be >= 0")
     objective = inversion_objective(float(N), j, zeros, mc.T)
-    levels = []
-    gauge_rejections = 0
+    xis, n_primes = [], []
     for i in range(first_draw, budget):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=mc.rng_seed, spawn_key=(i,)))
         xi = float(rng.uniform(-1.0, 1.0))
         sqrt_np = sqrt_n + xi * log_sqrt
-        n_prime = sqrt_np * sqrt_np
-        for G in G_list:
-            try:
-                gauge = make_gauge(n_prime, G, engine, j=j)
-            except GaugeError:
+        xis.append(xi)
+        n_primes.append(sqrt_np * sqrt_np)
+    columns = [(G, _gauge_column(n_primes, G, engine, j)) for G in G_list]
+    levels = []
+    gauge_rejections = 0
+    for d, xi in enumerate(xis):
+        for G, gauges in columns:
+            if gauges[d] is None:
                 gauge_rejections += 1
                 continue
-            for k, E in energy_levels(gauge):
+            for k, E in energy_levels(gauges[d]):
                 levels.append((1.0 + 1e-12 if E <= 1.0 else E, k, G, xi))
     xs, _, capped, points = invert_global(np.array([lv[0] for lv in levels]), float(N),
                                           objective, settled)

@@ -208,6 +208,45 @@ def test_packed_equals_plain_sieve():
         assert np.array_equal(PrimeTable(limit)._packed, plain_sieve_packed(limit)), limit
 
 
+def test_grown_table_equals_fresh_sieve():
+    """A table grown from a table of no larger limit equals a fresh sieve bit
+    for bit, word counts included: limits around a 64-odd word (127, 128,
+    129), the engine's least table and one past it, the first odd of the
+    second page (2^21 + 1), the desk fig2 table and one of 31 pages."""
+    limits = [3, 127, 128, 129, 2_000_000, 2_000_003, 2**21 + 1, 4_234_309, 32_000_000]
+    fresh = {limit: PrimeTable(limit) for limit in limits}
+    for i, small in enumerate(limits):
+        for limit in limits[i:]:
+            grown = PrimeTable(limit, fresh[small])
+            assert np.array_equal(grown._packed, fresh[limit]._packed), (small, limit)
+            assert np.array_equal(grown._counts, fresh[limit]._counts), (small, limit)
+
+
+def test_fig2_sieves_each_odd_once(monkeypatch, tmp_path):
+    """A desk fig2 run grows its 2*10^6 table to the y bound of the classical
+    map, so the pages it sieves hold each odd of the final table once, plus
+    at most the part word that the grown table does not keep."""
+    from factorsim import cli, primes
+
+    pages, limits = [], []
+    sieve_page, post_init = primes._sieve_odd_page, PrimeTable.__post_init__
+
+    def page(lo_odd, n_odds, base_primes):
+        pages.append(n_odds)
+        return sieve_page(lo_odd, n_odds, base_primes)
+
+    def built(self, grown_from):
+        post_init(self, grown_from)
+        limits.append(self.limit)
+
+    monkeypatch.setattr(primes, "_sieve_odd_page", page)
+    monkeypatch.setattr(PrimeTable, "__post_init__", built)
+    assert cli.run(["fig2", "--j", "10000", "--T", "100", "--seed", "42", "--samples", "8",
+                    "--out-prefix", str(tmp_path / "fig2")]) == 0
+    assert limits == [2_000_000, 4_234_309]
+    assert sum(pages) <= (limits[-1] - 1) // 2 + 1 + 64
+
+
 def test_pi_word_counts_against_lucy():
     """pi from the per-word counts plus the popcount of the bytes left, at
     the page edge, at word (64 odds) and byte (8 odds) edges, and at seeded x."""

@@ -573,6 +573,66 @@ def test_montecarlo_failure_and_objective_counts(engine, zeros, pi_points):
            (b.gauge_rejections, b.bracket_misses, b.objective_points)
 
 
+def per_draw_run(N, j, G_list, mc, zeros, engine, settled=None):
+    """`montecarlo_spectrum` with one `make_gauge` search per (draw, G):
+    (samples, the four counts, the gauge of each (draw, G) or None)."""
+    sqrt_n = math.sqrt(N)
+    levels, gauges = [], []
+    for i in range(mc.samples):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=mc.rng_seed, spawn_key=(i,)))
+        xi = float(rng.uniform(-1.0, 1.0))
+        sqrt_np = sqrt_n + xi * math.log(sqrt_n)
+        for G in G_list:
+            try:
+                gauges.append(make_gauge(sqrt_np * sqrt_np, G, engine, j=j))
+            except GaugeError:
+                gauges.append(None)
+                continue
+            levels += [(1.0 + 1e-12 if E <= 1.0 else E, k, G, xi)
+                       for k, E in energy_levels(gauges[-1])]
+    objective = qsieve.inversion_objective(float(N), j, zeros, mc.T)
+    xs, _, capped, points = qsieve.invert_global(np.array([lv[0] for lv in levels]),
+                                                 float(N), objective, settled)
+    samples = [(E, x, k, G, xi) for (E, k, G, xi), x in zip(levels, xs.tolist())
+               if not math.isnan(x)]
+    counts = (gauges.count(None), len(levels) - len(samples), int(capped.sum()), points)
+    return samples, counts, gauges
+
+
+@pytest.mark.parametrize("N, j, G_list, seed, samples, settled", [
+    (N_FIG1, 10000, DEFAULT_G_GRID, 42, 8, False),
+    (N_FIG1, 10000, DEFAULT_G_GRID, 7, 8, True),
+    # at G = 0.3 the draw targets run from 1736.87 to 1737.11, across 1737,
+    # the midpoint of the primes 1733 and 1741
+    (10981262167, 10000, DEFAULT_G_GRID, 42, 8, False),
+    # G = 3 is rejected at every draw; at G = 0.4 the targets straddle 186,
+    # the midpoint of 181 and 191
+    (10000019, 446, (0.0, 0.4, 3.0), 1, 4, False),
+], ids=["desk", "desk-settled", "straddle", "rejected"])
+def test_montecarlo_gauges_match_per_draw_search(engine, zeros, monkeypatch,
+                                                 N, j, G_list, seed, samples, settled):
+    """One B_G search per G (two at the column's extreme targets) gives every
+    draw the gauge of its own `make_gauge`, and the run stays bit-identical."""
+    columns = []
+    column = qsieve._gauge_column
+
+    def recorded(*args):
+        columns.append(column(*args))
+        return columns[-1]
+
+    monkeypatch.setattr(qsieve, "_gauge_column", recorded)
+    mc = MonteCarloConfig(samples=samples, rng_seed=seed, T=50)
+    settle = qsieve._bin_settled(np.linspace(829.0, math.sqrt(N), 41)) if settled else None
+    res = montecarlo_spectrum(N, j, G_list, mc, zeros, engine, settled=settle)
+    samples_ref, counts_ref, gauges_ref = per_draw_run(N, j, G_list, mc, zeros, engine, settle)
+    assert [g for gauges in zip(*columns) for g in gauges] == gauges_ref
+    assert [(s.E, s.x, s.k, s.G, s.xi) for s in res.samples] == samples_ref
+    assert (res.gauge_rejections, res.bracket_misses, res.capped_bisections,
+            res.objective_points) == counts_ref
+    shared = [len({g.B_G for g in gauges if g is not None}) <= 1 for gauges in columns]
+    assert all(shared) == (N == N_FIG1)  # the last two runs take the per-draw fallback
+
+
 def test_montecarlo_lockstep_matches_direct_inversion(engine, zeros):
     """The levels share midpoints: the 1,623 midpoints of the 69 levels of
     3 draws are 477 distinct x, and each x equals a lone inversion of its E."""

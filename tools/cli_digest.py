@@ -47,6 +47,9 @@ RUNS = [
               "--out", "fig1.csv", "--svg"]),
     ("fig2", ["fig2", "--j", "10000", "--T", "100", "--seed", "42", "--samples", "8",
               "--out-prefix", "fig2"]),
+    # the README's recipe: the full 1,545-draw budget
+    ("fig2-full", ["fig2", "--j", "10000", "--T", "100", "--seed", "42",
+                   "--out-prefix", "fig2"]),
     # a binning other than the default 40 x 40
     ("fig2-bins7", ["fig2", "--j", "10000", "--T", "100", "--seed", "3", "--samples", "8",
                     "--bins", "7", "--out-prefix", "fig2"]),
@@ -81,6 +84,10 @@ RUNS = [
     # a small N with gauge rejections and bracket misses next to its samples
     ("sieve-run-failing", ["sieve", "run", "--N", "10000019", "--j", "446", "--T", "50",
                            "--samples", "4", "--seed", "1", "--out", "samples.csv"]),
+    # at G = 0.3 the draws' B_G targets straddle 1737, the midpoint of the
+    # primes 1733 and 1741, so B_G is searched per draw
+    ("sieve-run-straddle", ["sieve", "run", "--N", "10981262167", "--j", "10000", "--T", "50",
+                            "--samples", "8", "--seed", "42", "--out", "samples.csv"]),
     ("sieve-invert", ["sieve", "invert", "--E", "1.00441815", "--N", N_DESK,
                       "--j", "10000", "--T", "1000"]),
     ("sieve-invert-unbracketed", ["sieve", "invert", "--E", "50", "--N", N_DESK,
