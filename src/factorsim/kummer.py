@@ -3,13 +3,17 @@
 `KummerFamily(a, b).FU` runs the regimes of `special.kummer_F` and
 `special.kummer_U` on every z of an array at once, and each element
 equals the scalar function's value bit for bit. U is the exp-sinh row
-inside _ASYMPT_RADIUS (75) and the asymptotic sum beyond it: one
-`special._row_sum` pass per distinct ph z in a pass, over all of that
-ray's |z|, the same code that the scalar row runs on one |z|. F is the power
-series inside _SERIES_RADIUS (3); beyond it, F is the U(a, b, z) of the
-same pass and one more U pass at (b - a, b, -z), joined by DLMF 13.2.41
-with one pair of factors per sign of Im z. So a pass runs one quadrature
-rule and one large-|z| formula for both functions.
+inside _ASYMPT_RADIUS (75) and the asymptotic sum beyond it. F is the
+power series inside _SERIES_RADIUS (3); beyond it, F joins U(a, b, z)
+and U(b - a, b, -z) by DLMF 13.2.41, with one pair of factors per sign of
+Im z. So a pass runs one quadrature rule and one large-|z| formula for
+both functions. The rows are `special._row_sum` passes, the code that
+the scalar row runs on one |z|: one pass per ray ph z over all of that
+ray's |z|, and since |-z| = |z|, the two rows of F at a z share one exp
+per node and take a weight set each, from the ray of z and of -z. A z
+on the imaginary axis, real part +-0.0, has its ray by one comparison,
+since atan2(y, +-0.0) is exactly +-pi/2; only a z off that axis takes
+cmath.phase on its own.
 
 Plain NumPy complex arithmetic rounds differently from CPython's complex
 type (products, quotients, abs and exp), so the passes hold each complex
@@ -28,6 +32,7 @@ each z instead, since a NumPy call costs about as much as a scalar term.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -48,6 +53,7 @@ from .special import (
 # below this many z, a series or sum runs the scalar loop on each z: the
 # array loop's cost per term is mostly fixed per NumPy call
 _LANES_MIN = 48
+_HALF_PI = 0.5 * math.pi
 
 
 def cmul(xr, xi, yr, yi):
@@ -153,29 +159,37 @@ def _asymptotic_sum_many(a: complex, c: complex, ir, ii):
     return sr, si
 
 
-def _u_many(a: complex, b: complex, zr, zi) -> np.ndarray:
-    """`kummer_U(a, b, z)` at every nonzero z: inside the radius, one row pass
-    per distinct ph z (keyed by hex, so -0.0 is not 0.0) over all of that
-    ray's |z|; beyond it, the asymptotic sum."""
-    r = np.hypot(zr, zi)
-    idx = np.arange(zr.size)
-    U = np.empty(zr.size, dtype=complex)
-    tail = idx[~(r <= _ASYMPT_RADIUS)]
-    if tail.size:
-        tr, ti = zr[tail], zi[tail]
-        s = _asymptotic_sum_many(a, a - b + 1.0, *cdiv(-1.0, 0.0, tr, ti))
-        er, ei = each(cmath.exp, *cmul(-a.real, -a.imag, *each(cmath.log, tr, ti)))
-        U.real[tail], U.imag[tail] = cmul(er, ei, *s)
-    near = idx[r <= _ASYMPT_RADIUS]
-    rays = {}
-    for k, z in zip(near.tolist(), pack(zr[near], zi[near]).tolist()):
+def _u_asymptotic(a: complex, b: complex, zr, zi) -> np.ndarray:
+    """`kummer_U(a, b, z)` by its asymptotic sum at every z."""
+    s = _asymptotic_sum_many(a, a - b + 1.0, *cdiv(-1.0, 0.0, zr, zi))
+    er, ei = each(cmath.exp, *cmul(-a.real, -a.imag, *each(cmath.log, zr, zi)))
+    return pack(*cmul(er, ei, *s))
+
+
+def _rays(zr, zi, ks: np.ndarray) -> list:
+    """The indices ks grouped by the ray theta = -ph z of their z, as
+    (theta, index array) pairs.
+
+    atan2(y, +-0.0) is exactly +-pi/2 for y != 0, so the z on the imaginary
+    axis take their ray from one comparison and the sign of y. Only the
+    others take cmath.phase one z at a time, grouped by theta's hex (so
+    -0.0 is not 0.0). No z may be 0.
+    """
+    on_axis = zr[ks] == 0.0
+    up = zi[ks] > 0.0
+    rays = [(-_HALF_PI, ks[on_axis & up]), (_HALF_PI, ks[on_axis & ~up])]
+    off = ks[~on_axis]
+    tilted = {}
+    for k, z in zip(off.tolist(), pack(zr[off], zi[off]).tolist()):
         theta = -cmath.phase(z)
-        rays.setdefault(theta.hex(), (theta, []))[1].append(k)
-    for theta, ks in rays.values():
-        weights, scale = _es_weights(a, b, theta)
-        row = _row_sum(r[ks], weights)
-        U.real[ks], U.imag[ks] = cmul(row.real, row.imag, scale.real, scale.imag)
-    return U
+        tilted.setdefault(theta.hex(), (theta, []))[1].append(k)
+    rays += ((theta, np.array(sel)) for theta, sel in tilted.values())
+    return [(theta, sel) for theta, sel in rays if len(sel)]
+
+
+def _put(out, ks, row, scale: complex) -> None:
+    """out[ks] = row * scale in CPython's complex product."""
+    out.real[ks], out.imag[ks] = cmul(row.real, row.imag, scale.real, scale.imag)
 
 
 class KummerFamily:
@@ -185,7 +199,7 @@ class KummerFamily:
     bit: each regime runs the scalar algorithm on all of its z at once, in
     CPython's complex arithmetic on (real, imag) float arrays. Beyond the
     series radius, F is built from the U(a, b, z) that `FU` returns and
-    one more U pass at (b - a, b, -z).
+    U(b - a, b, -z); inside U's radius the two rows share one exp per |z|.
     """
 
     def __init__(self, a: complex, b: complex):
@@ -208,15 +222,33 @@ class KummerFamily:
         # taken first so that F names its own conditions before U runs
         signs = np.sign(zi[big]).tolist()
         factors = {y: _connection_factors(a, b, y) for y in sorted(set(signs))}
-        U = _u_many(a, b, zr, zi)
+        # U(a, b, z) at every z, and U(b - a, b, -z) at the z beyond the
+        # series radius: one exp per |z| serves the rows of both
+        U = np.empty(z.size, dtype=complex)
+        U2 = np.empty(z.size, dtype=complex)
+        mr, mi = -zr, -zi
+        tail = idx[~(r <= _ASYMPT_RADIUS)]
+        if tail.size:
+            U[tail] = _u_asymptotic(a, b, zr[tail], zi[tail])
+            U2[tail] = _u_asymptotic(b - a, b, mr[tail], mi[tail])
+        for theta, ks in _rays(zr, zi, idx[r <= _ASYMPT_RADIUS]):
+            weights, scale = _es_weights(a, b, theta)
+            near = ks[r[ks] <= _SERIES_RADIUS]
+            if near.size:
+                _put(U, near, _row_sum(r[near], weights)[0], scale)
+            for theta2, ks2 in _rays(mr, mi, ks[~(r[ks] <= _SERIES_RADIUS)]):
+                weights2, scale2 = _es_weights(b - a, b, theta2)
+                row, row2 = _row_sum(r[ks2], weights, weights2)
+                _put(U, ks2, row, scale)
+                _put(U2, ks2, row2, scale2)
         F = np.empty(z.size, dtype=complex)
         if small.size:
             F.real[small], F.imag[small] = _hyp_series_many(a, b, zr[small], zi[small])
         if big.size:
             br, bi = zr[big], zi[big]
             k1, k2 = (np.array(col) for col in zip(*(factors[y] for y in signs)))
-            u2 = _u_many(b - a, b, -br, -bi)
             t1 = cmul(k1.real, k1.imag, U.real[big], U.imag[big])
-            t2 = cmul(*cmul(k2.real, k2.imag, *each(cmath.exp, br, bi)), u2.real, u2.imag)
+            t2 = cmul(*cmul(k2.real, k2.imag, *each(cmath.exp, br, bi)),
+                      U2.real[big], U2.imag[big])
             F[big] = pack(t1[0] + t2[0], t1[1] + t2[1])
         return F, U

@@ -17,19 +17,17 @@ later term can move it, so the result is the same float as the full
 optimally truncated sum. U's row is h sum_k e^{-|z| s_k} c_k: only the
 real term -|z| s_k of its exponent depends on |z|, so the complex
 weights c_k are built once per ray ph z, and the rows of any number of
-|z| on one ray are one exp of the real (z x node) outer product, whose
-cumulative sum adds the nodes in the order of a running sum. The scalar
-row is the one-element call of that pass.
+|z| on one ray are one exp of the real (|z| x node) outer product, whose
+cumulative sum adds the nodes in the order of a running sum. In a family
+pass, F's rows U(a, b, z) and U(b - a, b, -z) share that exp, as
+|-z| = |z|, and a z on the imaginary axis needs no phase for its ray:
+atan2(y, +-0.0) is +-pi/2. A scalar row is the one-element call of
+that pass.
 
 These are the point evaluators (the Newton solver, the matching point,
 boundary constants). A scan at fixed (a, b) goes through
 `kummer.KummerFamily`, which runs these same algorithms on a whole array
-of z and returns floats equal to these, bit for bit. NumPy's own complex
-product, quotient, abs and exp round differently from CPython's, so that
-path applies CPython's formulas to (real, imag) float arrays: the product
-(ar*br - ai*bi, ar*bi + ai*br), Smith's quotient as `_Py_c_quot` takes
-it, np.hypot for abs; float + - * /, comparisons, np.hypot and
-np.spacing are exact, and exp and log go through cmath per element.
+of z and returns floats equal to these, bit for bit.
 
 The series radius was calibrated against an arbitrary-precision oracle
 on both scan families (spectral a = 3/4 - iE/4, b = 3/2; trap
@@ -74,9 +72,8 @@ _LANCZOS_C = (
 
 _SERIES_RADIUS = 3.0
 _ASYMPT_RADIUS = 75.0
-# The benchmark tracer (perfbench/layers.py) reads U's radius under this
-# older name to label U's regimes, and the benchmark's files stay as they
-# are; the alias keeps its labels on the radius that U uses.
+# the older name of U's radius, which the benchmark tracer
+# (perfbench/layers.py) reads to label U's regimes
 _U_ASYMPT_RADIUS = _ASYMPT_RADIUS
 _EPS = 1e-15
 _MAXTERMS = 600
@@ -115,8 +112,8 @@ def _hyp_series(a: complex, b: complex, z: complex) -> complex:
 
 
 _ES_H = 2.0 ** -5  # U's exp-sinh row on (0, inf): u = k h, k = -160..112
-# z per chunk of a row pass: its (z x node) complex terms take 35 kB, which
-# keeps a pass's transient memory within about 40 kB of one row per z
+# z per chunk of a one-row pass, half that for two rows: either way the
+# chunk's complex terms take 35 kB, a pass's transient memory
 _ROW_CHUNK = 8
 
 
@@ -148,29 +145,34 @@ def _es_weights(a: complex, b: complex, theta: float) -> tuple[np.ndarray, compl
     return c, cmath.exp(1j * theta * a) / cgamma(a)
 
 
-def _row_sum(r: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """h * sum_k exp(-r s_k) c_k at every r of a 1-D array, with the weights
-    c of `_es_weights`.
+def _row_sum(r: np.ndarray, *weights: np.ndarray) -> np.ndarray:
+    """h * sum_k exp(-r s_k) c_k at every r of a 1-D array, for each weight
+    set c of `_es_weights`: a (set, r) array.
 
     Only the real term -r s_k of the exponent depends on z, so a chunk of
-    r is one exp over the (r x node) outer product. The product is held as
-    complex numbers with imaginary part 0: NumPy's complex exp, which the
-    weights use too, then takes the real exp of each, and each product
-    with c_k is (e c_re, e c_im) exactly. (NumPy's float exp is another
-    kernel, with other roundings, that a spectral run would load for this
-    alone.) cumsum adds the nodes in node order, so each total is the same
-    float as a running sum, whatever else its chunk holds.
+    r is one exp over the (r x node) outer product, shared by every weight
+    set. The product is held as complex numbers with imaginary part 0:
+    NumPy's complex exp, which the weights use too, then takes the real
+    exp of each, and each product with c_k is (e c_re, e c_im) exactly.
+    (NumPy's float exp is another kernel, with other roundings, that a
+    spectral run would load for this alone.) add.accumulate, cumsum's
+    kernel unwrapped, adds the nodes in node order, so each total is the
+    same float as a running sum, whatever else its chunk holds.
     """
     s = _es_nodes()[0]
     nr = -r
-    out = np.empty(r.size, dtype=complex)
-    for lo in range(0, r.size, _ROW_CHUNK):
-        chunk = nr[lo:lo + _ROW_CHUNK]
-        terms = np.zeros((chunk.size, s.size), dtype=complex)
-        np.multiply.outer(chunk, s, out=terms.real)
-        np.exp(terms, out=terms)
-        terms *= weights
-        out[lo:lo + _ROW_CHUNK] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+    step = _ROW_CHUNK // len(weights)
+    out = np.empty((len(weights), r.size), dtype=complex)
+    for lo in range(0, r.size, step):
+        chunk = nr[lo:lo + step]
+        e = np.zeros((chunk.size, s.size), dtype=complex)
+        np.multiply.outer(chunk, s, out=e.real)
+        np.exp(e, out=e)
+        for k in range(1, len(weights)):  # each on a copy of e
+            terms = e * weights[k]
+            out[k, lo:lo + step] = np.add.accumulate(terms, 1, out=terms)[:, -1]
+        e *= weights[0]
+        out[0, lo:lo + step] = np.add.accumulate(e, 1, out=e)[:, -1]
     out *= _ES_H
     return out
 
@@ -248,7 +250,7 @@ def _kummer_u_row(a: complex, b: complex, z: complex) -> complex:
     z t = |z| s: e^{i theta a}/Gamma(a) * int_0^inf e^{-|z| s} s^{a-1}
     (1 + s e^{i theta})^{b-a-1} ds, summed on the exp-sinh nodes."""
     weights, scale = _es_weights(a, b, -cmath.phase(z))
-    return complex(_row_sum(np.array([abs(z)]), weights)[0]) * scale
+    return complex(_row_sum(np.array([abs(z)]), weights)[0, 0]) * scale
 
 
 def kummer_U(a: complex, b: complex, z: complex) -> complex:

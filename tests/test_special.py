@@ -317,23 +317,70 @@ def test_family_mixed_regimes_and_edges(lanes_min, monkeypatch):
 
 
 def test_row_pass_is_batch_invariant():
-    """A ray's row sums are the same floats whatever else their pass holds:
-    batches of 1, chunk - 1, chunk, chunk + 1 and 701 |z| per ray cross the
-    chunk boundaries, and both rays of a scan go through one `_u_many` call,
+    """A ray's row sums are the same floats whatever else their pass holds,
+    and a paired pass, F's rows at z and -z on one exp, gives each row the
+    floats of a one-row pass: batches of 1, chunk - 1, chunk and chunk + 1
+    |z| for the one-row and the paired chunk, and 701, cross the chunk
+    boundaries. Both rays of a scan go through one `KummerFamily` pass,
     interleaved."""
     chunk = special._ROW_CHUNK
     rng = np.random.default_rng(22)
     rs = np.exp(rng.uniform(math.log(0.3), math.log(special._ASYMPT_RADIUS), 701))
+    sizes = sorted({n for c in (chunk // 2, chunk) for n in (1, c - 1, c, c + 1)} | {rs.size})
     for family, ab in _FAMILIES.items():
         a, b = ab(1.3)
+        # the weights of z = i r and of -z, as F beyond the series radius takes them
         weights = special._es_weights(a, b, -0.5 * math.pi)[0]
-        alone = _bits([special._row_sum(rs[k:k + 1], weights)[0] for k in range(rs.size)])
-        for n in (1, chunk - 1, chunk, chunk + 1, rs.size):
-            assert _bits(special._row_sum(rs[:n], weights)) == alone[:2 * n], (family, n)
+        weights2 = special._es_weights(b - a, b, 0.5 * math.pi)[0]
+        alone = [_bits([special._row_sum(rs[k:k + 1], w)[0, 0] for k in range(rs.size)])
+                 for w in (weights, weights2)]
+        for n in sizes:
+            assert _bits(special._row_sum(rs[:n], weights)[0]) == alone[0][:2 * n], (family, n)
+            paired = special._row_sum(rs[:n], weights, weights2)
+            assert [_bits(row) for row in paired] == [bits[:2 * n] for bits in alone], \
+                (family, n)
             zs = np.empty(2 * n, dtype=complex)
             zs[0::2], zs[1::2] = 1j * rs[:n], -1j * rs[:n]
-            U = kummer._u_many(a, b, zs.real, zs.imag)
+            F, U = KummerFamily(a, b).FU(zs)
             assert _bits(U) == _bits([kummer_U(a, b, z) for z in zs.tolist()]), (family, n)
+            assert _bits(F) == _bits([kummer_F(a, b, z) for z in zs.tolist()]), (family, n)
+
+
+_AXIS_Y = (5e-324, 1e-300, 1e-3, 1.0, 75.0, 1e300)
+
+
+def test_axis_phase_is_half_pi():
+    """atan2(y, +-0.0) is exactly +-pi/2, the rays that `KummerFamily` gives
+    the z on the imaginary axis without a phase."""
+    half_pi = kummer._HALF_PI
+    assert half_pi == math.atan2(1.0, 0.0)
+    for s0 in (0.0, -0.0):
+        for y in _AXIS_Y:
+            assert (-cmath.phase(complex(s0, y))).hex() == (-half_pi).hex(), (s0, y)
+            assert (-cmath.phase(complex(s0, -y))).hex() == half_pi.hex(), (s0, y)
+
+
+@pytest.mark.parametrize("lanes_min", ["default", "array"])
+def test_family_axis_and_tilted_rays(lanes_min, monkeypatch):
+    """One pass over z on the axis with either sign of zero, a z just off
+    the axis whose phase rounds to pi/2, and tilted z, in shuffled order,
+    gives the scalar F and U at every z."""
+    if lanes_min == "array":
+        monkeypatch.setattr(kummer, "_LANES_MIN", 0)
+    rng = np.random.default_rng(26)
+    ys = list(_AXIS_Y[1:-1]) + [2.0, 3.0, 5.0, 20.0, 74.0, 76.0, 300.0]
+    zs = [complex(s0, sy * y) for s0 in (0.0, -0.0) for sy in (1.0, -1.0) for y in ys]
+    zs += [complex(1e-300, 5.0), complex(-1e-300, -5.0)]
+    assert cmath.phase(zs[-2]) == 0.5 * math.pi
+    rs = np.exp(rng.uniform(math.log(0.3), math.log(300.0), 60))
+    tilt = np.where(rng.random(rs.size) < 0.5, 0.5, -0.5) * np.pi + rng.uniform(-0.2, 0.2, rs.size)
+    zs = np.concatenate([zs, rs * np.exp(1j * tilt)])
+    zs = zs[rng.permutation(zs.size)]
+    for family, ab in _FAMILIES.items():
+        a, b = ab(0.7)
+        F, U = KummerFamily(a, b).FU(zs)
+        assert _bits(F) == _bits([kummer_F(a, b, z) for z in zs.tolist()]), family
+        assert _bits(U) == _bits([kummer_U(a, b, z) for z in zs.tolist()]), family
 
 
 def test_family_errors():

@@ -65,6 +65,9 @@ RUNS = [
     ("zeromatch-default", ["trap", "zeromatch", "--out", "zm.csv"]),
     ("zeromatch-window", ["trap", "zeromatch", "--E", "1.3", "--q-lo", "2", "--q-hi", "6",
                           "--N", "1e12", "--out", "zm.csv"]),
+    # the trap scan crosses |z| = 75, so both U passes of F take rows and sums
+    ("zeromatch-r75", ["trap", "zeromatch", "--E", "1", "--q-lo", "1", "--q-hi", "10",
+                       "--out", "zm.csv"]),
     ("plan-desk", ["trap", "plan", "--N", N_DESK]),
     ("plan-proton", ["trap", "plan", "--N", "1e12", "--G", "0.2", "--rho-m", "2",
                      "--particle", "proton", "--zero-index", "1"]),
