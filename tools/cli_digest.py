@@ -45,6 +45,11 @@ N_DESK = "10969262131"
 RUNS = [
     ("fig1", ["fig1", "--j", "10000", "--x-min", "46000", "--x-max", "49000",
               "--out", "fig1.csv", "--svg"]),
+    # the whole j = 1000 ensemble: 21,466 points
+    ("fig1-1000", ["fig1", "--j", "1000", "--out", "fig1.csv", "--svg"]),
+    # an empty window: the CSV is a header only
+    ("fig1-empty", ["fig1", "--j", "3", "--x-min", "6", "--x-max", "5",
+                    "--out", "fig1.csv", "--svg"]),
     ("fig2", ["fig2", "--j", "10000", "--T", "100", "--seed", "42", "--samples", "8",
               "--out-prefix", "fig2"]),
     # the README's recipe: the full 1,545-draw budget
