@@ -7,7 +7,6 @@ from .ensemble import (  # noqa: F401
     EnsembleQuery,
     energy,
     enumerate_ensemble,
-    spectrum_points,
     sqrt_index,
 )
 from .primes import PrimeEngine, PrimeTable, is_prime, prime_pi_lucy  # noqa: F401

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, spectral, svgplot, trap
-from .ensemble import EnsembleQuery, enumerate_ensemble, spectrum_points
+from .ensemble import ensemble_sorted
 from .primes import PrimeEngine, PrimeRangeError
 from .qsieve import (
     DEFAULT_G_GRID,
@@ -260,17 +260,16 @@ def _cmd_primes(args, engine: PrimeEngine) -> int:
 
 
 def _cmd_ensemble(args, engine: PrimeEngine) -> int:
-    query = EnsembleQuery(j=args.j, x_min=args.x_min, x_max=args.x_max)
-    entries = enumerate_ensemble(query, engine)
-    # int / int is correctly rounded, as float(Fraction) is: no Fraction is built
-    rows = [[str(e.x), str(e.y), str(e.N), str(e.j), str(e.pix), str(e.piy),
-             _g(e.pix * e.piy / (e.j * e.j)), _g((e.pix + e.piy) / (2 * e.j)),
-             _g((e.piy - e.pix) / (2 * e.j))] for e in entries]
+    j = args.j
+    cols = [c.tolist() for c in ensemble_sorted(j, args.x_min, args.x_max, engine)]
+    # int / int is correctly rounded at any size, as float(Fraction) is
+    rows = [[str(x), str(y), str(x * y), str(j), str(a), str(b), _g(a * b / (j * j)),
+             _g((a + b) / (2 * j)), _g((b - a) / (2 * j))] for x, y, a, b in zip(*cols)]
     _write_text(args.out, _csv(rows, ["x", "y", "N", "j", "pix", "piy",
                                       "E_decimal", "q_decimal", "p_decimal"]))
     _write_manifest(args.out, "ensemble enumerate",
                     {"j": args.j, "x_min": args.x_min, "x_max": args.x_max})
-    print(f"wrote {len(entries)} entries to {args.out}")
+    print(f"wrote {len(rows)} entries to {args.out}")
     return 0
 
 
@@ -354,18 +353,19 @@ def _cmd_trap(args) -> int:
 
 
 def _cmd_fig1(args, engine: PrimeEngine) -> int:
-    query = EnsembleQuery(j=args.j, x_min=args.x_min, x_max=args.x_max)
-    pts = spectrum_points(query, engine)
-    rows = [[_g(float(E)), str(N)] for E, N in pts]
+    x, y, pix, piy = ensemble_sorted(args.j, args.x_min, args.x_max, engine)
+    jj = args.j * args.j
+    E = [a * b / jj for a, b in zip(pix.tolist(), piy.tolist())]
+    N = (x * y).tolist()
+    rows = [[_g(e), str(n)] for e, n in zip(E, N)]
     _write_text(args.out, _csv(rows, ["E", "N"]))
     _write_manifest(args.out, "fig1",
                     {"j": args.j, "x_min": args.x_min, "x_max": args.x_max})
     if args.svg:
-        svg = svgplot.scatter_svg([(float(N), float(E)) for E, N in pts],
-                                  x_label="N", y_label="E")
+        svg = svgplot.scatter_svg(zip(N, E), x_label="N", y_label="E")
         with open(args.out + ".svg", "wb") as fh:
             fh.write(svg)
-    print(f"wrote {len(pts)} spectrum points to {args.out}")
+    print(f"wrote {len(N)} spectrum points to {args.out}")
     return 0
 
 
@@ -410,9 +410,8 @@ def _cmd_zero_match(args, command: str, q_lo: float, q_hi: float, inputs: dict) 
         exact = [(q, q * m ** 2 / q ** 2)
                  for q, m in zip(qs, np.hypot(psi.real, psi.imag).tolist())]
         _, e_prime = trap.to_physical(0.0, args.E, plan.params)
-        c = trap.trap_boundary_constant(e_prime, plan.params)
         lam = trap.length_scale(plan.params)
-        psi = trap.trap_wavefunction_many(np.array(qs) * lam, e_prime, plan.params, c)
+        psi = trap.trap_wavefunction_many(np.array(qs) * lam, e_prime, plan.params)
         traps = [(q, q * v ** 2) for q, v in zip(qs, psi.tolist())]
         peak_e = max(v for _, v in exact) or 1.0
         peak_t = max(v for _, v in traps) or 1.0

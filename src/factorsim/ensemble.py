@@ -96,6 +96,8 @@ def ensemble_columns(j: int, x_lo: Optional[int], x_hi: Optional[int],
     x_hi = min(pj, x_hi if x_hi is not None else pj)
     if x_lo > x_hi:
         return (np.empty(0, dtype=np.int64),) * 6
+    if n_hi > 2**63:
+        raise PrimeRangeError(f"N up to p_(j+1)^2 - 1 = {n_hi - 1} is beyond int64 (2^63)")
     y_max = (n_hi - 1) // x_lo
     try:
         engine.ensure_limit(y_max)
@@ -128,20 +130,17 @@ def ensemble_arrays(j: int, x_lo: Optional[int], x_hi: Optional[int],
     return np.repeat(xs, count), ys, np.repeat(pix, count), piy
 
 
-def enumerate_ensemble(query: EnsembleQuery, engine: PrimeEngine) -> list[EnsembleEntry]:
-    """All pairs x <= y, both prime, with pi(isqrt(x*y)) = j, x in the window.
-
-    Sorted by N then x. The pairs and their pi values come from
-    `ensemble_arrays`, which reads both factors off one sieve table; this
-    wrapper sorts them into entries of Python ints.
-    """
-    x, y, pix, piy = ensemble_arrays(query.j, query.x_min, query.x_max, engine)
+def ensemble_sorted(j: int, x_lo: Optional[int], x_hi: Optional[int],
+                    engine: PrimeEngine) -> tuple[np.ndarray, ...]:
+    """The `ensemble_arrays` columns (x, y, pix, piy) sorted by N = x*y, then x."""
+    x, y, pix, piy = ensemble_arrays(j, x_lo, x_hi, engine)
     order = np.lexsort((x, x * y))
-    x, y, pix, piy = x[order], y[order], pix[order], piy[order]
+    return x[order], y[order], pix[order], piy[order]
+
+
+def enumerate_ensemble(query: EnsembleQuery, engine: PrimeEngine) -> list[EnsembleEntry]:
+    """All pairs x <= y, both prime, with pi(isqrt(x*y)) = j, x in the
+    window, sorted by N then x: the `ensemble_sorted` columns as entries."""
+    x, y, pix, piy = ensemble_sorted(query.j, query.x_min, query.x_max, engine)
     return [EnsembleEntry(x=xv, y=yv, N=xv * yv, j=query.j, pix=a, piy=b)
             for xv, yv, a, b in zip(x.tolist(), y.tolist(), pix.tolist(), piy.tolist())]
-
-
-def spectrum_points(query: EnsembleQuery, engine: PrimeEngine) -> list[tuple[Fraction, int]]:
-    """(E, N) projection of the ensemble, for the band-spectrum plot."""
-    return [(e.E, e.N) for e in enumerate_ensemble(query, engine)]

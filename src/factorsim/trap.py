@@ -132,11 +132,7 @@ def encodable_N(
         raise ValueError("need q_G > 1 and ratio > 1")
     lg = math.log(q_G)
     sqrt_n = (2.0**1.5 / 3.0) * q_G**3 / lg * ratio_wc_wz
-    omega_z = size_to_axial(rho_m, q_G, particle.mass)
-    omega_c_prime = ratio_wc_wz * omega_z
-    omega_m = omega_z**2 / (2.0 * omega_c_prime)
-    omega_c = math.sqrt(omega_c_prime**2 + omega_z**2 + omega_m**2)
-    B = particle.mass * omega_c / (particle.g * S_HAT * E_CHARGE)
+    B = _frequencies(q_G, ratio_wc_wz, rho_m, particle)[-1]
     n_flux = flux_quanta(rho_m, B)
     sqrt_n_flux = (q_G / lg) * (4.0 / 3.0) * particle.g * S_HAT * n_flux
     gap = abs(sqrt_n_flux - sqrt_n) / sqrt_n
@@ -148,6 +144,16 @@ def encodable_N(
         "B": B,
         "flux_quanta": n_flux,
     }
+
+
+def _frequencies(q_G: float, ratio: float, rho_m: float, particle: Particle) -> tuple:
+    """(omega_z, omega_c', omega_m, omega_c, B) at q_G, rho_m and omega_c'/omega_z."""
+    omega_z = size_to_axial(rho_m, q_G, particle.mass)
+    omega_c_prime = ratio * omega_z
+    omega_m = omega_z**2 / (2.0 * omega_c_prime)
+    omega_c = math.sqrt(omega_c_prime**2 + omega_z**2 + omega_m**2)
+    B = particle.mass * omega_c / (particle.g * S_HAT * E_CHARGE)
+    return omega_z, omega_c_prime, omega_m, omega_c, B
 
 
 def flux_quanta(rho_m: float, B: float) -> float:
@@ -253,7 +259,7 @@ def zero_match_report(E: float, q_lo: float, q_hi: float,
     if q_hi <= max(q_lo, math.sqrt(E)):
         return []
     exact = [z for z in spectral.wavefunction_zeros(E, q_hi) if z >= q_lo]
-    trap = [z for z in trap_wavefunction_zeros(E, max(q_lo, math.sqrt(E) + 1e-6), q_hi, params)]
+    trap = trap_wavefunction_zeros(E, max(q_lo, math.sqrt(E) + 1e-6), q_hi, params)
     out = []
     for qe in exact:
         if not trap:
@@ -310,12 +316,8 @@ def plan_trap(
     q_G = zeros[zero_index]
     lg = math.log(q_G)
 
-    omega_z = size_to_axial(rho_m, q_G, particle.mass)
     ratio = 3.0 * math.sqrt(N) * lg / (2.0**1.5 * q_G**3)
-    omega_c_prime = ratio * omega_z
-    omega_m = omega_z**2 / (2.0 * omega_c_prime)
-    omega_c = math.sqrt(omega_c_prime**2 + omega_z**2 + omega_m**2)
-    B = particle.mass * omega_c / (particle.g * S_HAT * E_CHARGE)
+    omega_z, omega_c_prime, omega_m, omega_c, B = _frequencies(q_G, ratio, rho_m, particle)
     if B > _B_MAX:
         raise TrapPlanError(
             f"required field B = {B:.3g} T exceeds B_max = {_B_MAX} T "

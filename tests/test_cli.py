@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from factorsim import cli, qsieve, spectral
+from test_ensemble import Int64EdgeEngine
+
+from factorsim import cli, qsieve, spectral, svgplot
 from factorsim.cli import run
+from factorsim.ensemble import EnsembleQuery, enumerate_ensemble
 
 
 def _run(capsys, *argv):
@@ -165,6 +168,37 @@ def test_fig1_does_not_mutate_inputs(tmp_path, capsys):
     before = open(zpath, "rb").read()
     _run(capsys, "fig1", "--j", "3", "--out", str(out))
     assert open(zpath, "rb").read() == before
+
+
+@pytest.mark.parametrize("j, x_min, x_max", [(1, None, None), (3, None, None),
+                                             (1000, None, None), (10000, 46000, 49000)])
+def test_fig1_and_ensemble_rows_equal_entry_reference(tmp_path, capsys, engine, j, x_min, x_max):
+    """Both commands print the sorted columns as the entries' float(Fraction)s."""
+    window = [] if x_min is None else ["--x-min", str(x_min), "--x-max", str(x_max)]
+    entries = enumerate_ensemble(EnsembleQuery(j=j, x_min=x_min, x_max=x_max), engine)
+    fig1, ens = tmp_path / "fig1.csv", tmp_path / "ens.csv"
+    assert _run(capsys, "fig1", "--j", str(j), *window, "--out", str(fig1), "--svg")[0] == 0
+    assert _run(capsys, "ensemble", "enumerate", "--j", str(j), *window,
+                "--out", str(ens))[0] == 0
+    g = cli._g
+    assert fig1.read_text().splitlines()[1:] == [f"{g(float(e.E))},{e.N}" for e in entries]
+    assert (tmp_path / "fig1.csv.svg").read_bytes() == svgplot.scatter_svg(
+        [(e.N, float(e.E)) for e in entries], x_label="N", y_label="E")
+    assert ens.read_text().splitlines()[1:] == [
+        ",".join([*map(str, (e.x, e.y, e.N, e.j, e.pix, e.piy)),
+                  g(float(e.E)), g(float(e.q)), g(float(e.p))]) for e in entries]
+
+
+def test_ensemble_commands_reject_N_beyond_int64(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PrimeEngine", Int64EdgeEngine)
+    j = str(Int64EdgeEngine.J)
+    for argv in (["fig1", "--j", j, "--x-min", "3037000000", "--out", str(tmp_path / "f.csv")],
+                 ["ensemble", "enumerate", "--j", j, "--x-min", "3037000000",
+                  "--out", str(tmp_path / "e.csv")]):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, json.loads(err)["error"]) == (2, "", "domain")
+        assert "2^63" in json.loads(err)["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spectrum_solve_json(capsys):

@@ -16,11 +16,12 @@ from factorsim.ensemble import (
     energy,
     ensemble_arrays,
     ensemble_bounds,
+    ensemble_sorted,
     enumerate_ensemble,
-    spectrum_points,
     sqrt_index,
 )
-from factorsim.primes import _PAGE_ODDS, PrimeEngine, is_prime
+from factorsim.cli import run
+from factorsim.primes import _PAGE_ODDS, PrimeEngine, PrimeRangeError, is_prime, prime_pi_lucy
 
 
 def brute_force_ensemble(j: int, engine) -> list:
@@ -246,20 +247,56 @@ def test_phase_identity_property(engine, j):
         assert e.q * e.q - e.p * e.p == e.E
 
 
+def _fig1_rows(tmp_path, *argv) -> list[str]:
+    out = tmp_path / "fig1.csv"
+    assert run(["fig1", *argv, "--out", str(out)]) == 0
+    return out.read_text().splitlines()
+
+
 def test_spectrum_points(engine):
-    pts = spectrum_points(EnsembleQuery(j=3), engine)
+    """The (E, N) projection of the sorted columns: E = pix*piy/j^2, N = x*y."""
+    x, y, pix, piy = ensemble_sorted(3, None, None, engine)
+    pts = [(Fraction(a, 9), n) for a, n in zip((pix * piy).tolist(), (x * y).tolist())]
     assert len(pts) == 8
     assert (Fraction(1), 25) in pts
     assert (Fraction(2, 3), 26) in pts
 
 
-def test_spectrum_points_empty_window(engine):
-    assert spectrum_points(EnsembleQuery(j=3, x_min=6, x_max=5), engine) == []
+def test_spectrum_points_empty_window(engine, tmp_path, capsys):
+    assert all(c.size == 0 for c in ensemble_sorted(3, 6, 5, engine))
+    assert _fig1_rows(tmp_path, "--j", "3", "--x-min", "6", "--x-max", "5") == ["E,N"]
+    assert capsys.readouterr().out == f"wrote 0 spectrum points to {tmp_path / 'fig1.csv'}\n"
 
 
-def test_fig1_marked_point(engine):
-    pts = spectrum_points(EnsembleQuery(j=10000, x_min=47290, x_max=47300), engine)
-    match = [N for E, N in pts if N == 10969262131]
+def test_fig1_marked_point(tmp_path):
+    rows = _fig1_rows(tmp_path, "--j", "10000", "--x-min", "47290", "--x-max", "47300")
+    match = [float(r.split(",")[0]) for r in rows[1:] if r.endswith(",10969262131")]
     assert match, "marked band point missing"
-    e = [E for E, N in pts if N == 10969262131][0]
-    assert abs(float(e) - 1.00441815) < 5e-9
+    assert abs(match[0] - 1.00441815) < 5e-9
+
+
+class Int64EdgeEngine:
+    """p_j and p_(j+1) on either side of sqrt(2^63); records each sieve limit."""
+
+    J = 146144318
+
+    def __init__(self):
+        self.limits = []
+
+    def nth_prime(self, n: int) -> int:
+        return {self.J: 3037000493, self.J + 1: 3037000507}[n]
+
+    def ensure_limit(self, limit: int) -> None:
+        self.limits.append(limit)
+
+
+def test_columns_reject_N_beyond_int64_before_sieving():
+    """p_(j+1)^2 - 1 >= 2^63 would overflow the int64 columns: the window
+    near p_j is rejected by name before its y side (to about 3e9) is sieved."""
+    assert [p for p in range(3037000493, 3037000508) if is_prime(p)] == [3037000493, 3037000507]
+    assert prime_pi_lucy(3037000493) == Int64EdgeEngine.J
+    assert 3037000493**2 < 2**63 < 3037000507**2
+    engine = Int64EdgeEngine()
+    with pytest.raises(PrimeRangeError, match=r"2\^63"):
+        ensemble_sorted(engine.J, 3037000000, None, engine)
+    assert engine.limits == []
