@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import platform
 import sys
 
 import numpy as np
 
 from . import __version__, spectral, svgplot, trap
-from .ensemble import ensemble_sorted
+from .ensemble import ensemble_sorted, sqrt_index
 from .primes import PrimeEngine, PrimeRangeError
 from .qsieve import (
     DEFAULT_G_GRID,
@@ -198,7 +197,6 @@ def _build_parser() -> _Parser:
     pts = pt.add_subparsers(dest="sub", required=True)
     q = pts.add_parser("plan")
     q.add_argument("--N", type=float, required=True)
-    q.add_argument("--G", type=float, default=0.0)
     q.add_argument("--rho-m", type=float, default=3.0, help="saddle radius in mm")
     q.add_argument("--particle", default="electron")
     q.add_argument("--zero-index", type=int, default=0)
@@ -310,7 +308,7 @@ def _cmd_sieve(args, engine: PrimeEngine) -> int:
         return 0
     if args.sub == "invert":
         zeros = _load_zeros(args.zeros)
-        j = engine.pi(math.isqrt(int(args.N))) if args.j is None else args.j
+        j = sqrt_index(int(args.N), engine) if args.j is None else args.j
         x = invert_x_of_E(args.E, args.N, j, zeros, args.T)
         print(json.dumps({"x": x, "E": args.E, "N": args.N, "j": j, "T": args.T},
                          sort_keys=True))
@@ -323,7 +321,7 @@ def _cmd_sieve(args, engine: PrimeEngine) -> int:
 
 def _cmd_trap(args) -> int:
     if args.sub == "plan":
-        plan = trap.plan_trap(args.N, args.G, args.rho_m * 1e-3, args.particle,
+        plan = trap.plan_trap(args.N, args.rho_m * 1e-3, args.particle,
                               zero_index=args.zero_index)
         p = plan.params
         out = {
@@ -362,7 +360,7 @@ def _cmd_fig1(args, engine: PrimeEngine) -> int:
     _write_manifest(args.out, "fig1",
                     {"j": args.j, "x_min": args.x_min, "x_max": args.x_max})
     if args.svg:
-        svg = svgplot.scatter_svg(zip(N, E), x_label="N", y_label="E")
+        svg = svgplot.scatter_svg(zip(N, E))
         with open(args.out + ".svg", "wb") as fh:
             fh.write(svg)
     print(f"wrote {len(N)} spectrum points to {args.out}")
@@ -399,7 +397,7 @@ def _cmd_fig2(args, engine: PrimeEngine) -> int:
 def _cmd_zero_match(args, command: str, q_lo: float, q_hi: float, inputs: dict) -> int:
     """`trap zeromatch` and `fig3`: pair the exact and trap zeros over
     [q_lo, q_hi] into a CSV; fig3's --svg adds both densities."""
-    plan = trap.plan_trap(args.N, 0.0, 3e-3, "electron")
+    plan = trap.plan_trap(args.N, 3e-3, "electron")
     rep = trap.zero_match_report(args.E, q_lo, q_hi, plan.params)
     rows = [[_g(zm.q_exact), _g(zm.q_trap), _g(zm.gap)] for zm in rep]
     _write_text(args.out, _csv(rows, ["q_exact_zero", "q_trap_zero", "gap"]))

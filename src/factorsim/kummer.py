@@ -8,12 +8,12 @@ power series inside _SERIES_RADIUS (3); beyond it, F joins U(a, b, z)
 and U(b - a, b, -z) by DLMF 13.2.41, with one pair of factors per sign of
 Im z. So a pass runs one quadrature rule and one large-|z| formula for
 both functions. The rows are `special._row_sum` passes, the code that
-the scalar row runs on one |z|: one pass per ray ph z over all of that
-ray's |z|, and since |-z| = |z|, the two rows of F at a z share one exp
-per node and take a weight set each, from the ray of z and of -z. A z
-on the imaginary axis, real part +-0.0, has its ray by one comparison,
-since atan2(y, +-0.0) is exactly +-pi/2; only a z off that axis takes
-cmath.phase on its own.
+the scalar row runs on one |z|. A pass takes the z on the imaginary axis,
+real part +-0.0, where every scan of the simulator lies: they have two
+rays, ph z = +-pi/2 by the sign of Im z (atan2(y, +-0.0) is exactly
++-pi/2), and -z lies on the other, so each ray is one row pass over all
+of its |z|, and since |-z| = |z| the two rows of F at a z share one exp
+per node. Every other z takes `special.kummer_FU` on its own.
 
 Plain NumPy complex arithmetic rounds differently from CPython's complex
 type (products, quotients, abs and exp), so the passes hold each complex
@@ -22,8 +22,8 @@ the product (ar*br - ai*bi, ar*bi + ai*br); the quotient of
 `_Py_c_quot`, Smith's algorithm (R. L. Smith, Commun. ACM 5 (1962)
 435), with one branch for a fixed divisor and a branch per element
 otherwise; `abs` as np.hypot. Float + - * /, comparisons, np.hypot and
-np.spacing are exact in NumPy. exp and log (and phase) go through cmath
-one element at a time. Each series or sum keeps one lane per z, with a mask
+np.spacing are exact in NumPy. exp and log go through cmath one element
+at a time. Each series or sum keeps one lane per z, with a mask
 that stops it at the term where the scalar loop stops (the quarter-ulp
 stop included); with fewer than _LANES_MIN z, the scalar loop runs on
 each z instead, since a NumPy call costs about as much as a scalar term.
@@ -48,6 +48,7 @@ from .special import (
     _es_weights,
     _hyp_series,
     _row_sum,
+    kummer_FU,
 )
 
 # below this many z, a series or sum runs the scalar loop on each z: the
@@ -166,27 +167,6 @@ def _u_asymptotic(a: complex, b: complex, zr, zi) -> np.ndarray:
     return pack(*cmul(er, ei, *s))
 
 
-def _rays(zr, zi, ks: np.ndarray) -> list:
-    """The indices ks grouped by the ray theta = -ph z of their z, as
-    (theta, index array) pairs.
-
-    atan2(y, +-0.0) is exactly +-pi/2 for y != 0, so the z on the imaginary
-    axis take their ray from one comparison and the sign of y. Only the
-    others take cmath.phase one z at a time, grouped by theta's hex (so
-    -0.0 is not 0.0). No z may be 0.
-    """
-    on_axis = zr[ks] == 0.0
-    up = zi[ks] > 0.0
-    rays = [(-_HALF_PI, ks[on_axis & up]), (_HALF_PI, ks[on_axis & ~up])]
-    off = ks[~on_axis]
-    tilted = {}
-    for k, z in zip(off.tolist(), pack(zr[off], zi[off]).tolist()):
-        theta = -cmath.phase(z)
-        tilted.setdefault(theta.hex(), (theta, []))[1].append(k)
-    rays += ((theta, np.array(sel)) for theta, sel in tilted.values())
-    return [(theta, sel) for theta, sel in rays if len(sel)]
-
-
 def _put(out, ks, row, scale: complex) -> None:
     """out[ks] = row * scale in CPython's complex product."""
     out.real[ks], out.imag[ks] = cmul(row.real, row.imag, scale.real, scale.imag)
@@ -196,10 +176,11 @@ class KummerFamily:
     """F(a, b, z) and U(a, b, z) of one (a, b) over 1-D arrays of z.
 
     Every element equals scalar `kummer_F` / `kummer_U` at that z bit for
-    bit: each regime runs the scalar algorithm on all of its z at once, in
-    CPython's complex arithmetic on (real, imag) float arrays. Beyond the
-    series radius, F is built from the U(a, b, z) that `FU` returns and
-    U(b - a, b, -z); inside U's radius the two rows share one exp per |z|.
+    bit: each regime runs the scalar algorithm on all of its z on the
+    imaginary axis at once, in CPython's complex arithmetic on (real, imag)
+    float arrays. Beyond the series radius, F is built from the U(a, b, z)
+    that `FU` returns and U(b - a, b, -z); inside U's radius the two rows
+    share one exp per |z|.
     """
 
     def __init__(self, a: complex, b: complex):
@@ -208,45 +189,59 @@ class KummerFamily:
         self.a, self.b = a, b
 
     def FU(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """(F, U)(a, b, z) at every z of a 1-D array; no z may be 0."""
+        """(F, U)(a, b, z) at every z of a 1-D array; no z may be 0. The z
+        off the imaginary axis take `kummer_FU` one at a time."""
         a, b = self.a, self.b
         z = np.asarray(z, dtype=complex)
         zr, zi = z.real, z.imag
         r = np.hypot(zr, zi)
         if np.count_nonzero(r == 0.0):
             raise SpecialFunctionError("U undefined at z = 0")
-        idx = np.arange(z.size)
-        small = idx[r <= _SERIES_RADIUS]
-        big = idx[~(r <= _SERIES_RADIUS)]
         # the DLMF 13.2.41 factors of each sign of Im z beyond the radius,
         # taken first so that F names its own conditions before U runs
-        signs = np.sign(zi[big]).tolist()
+        signs = np.sign(zi[~(r <= _SERIES_RADIUS)]).tolist()
         factors = {y: _connection_factors(a, b, y) for y in sorted(set(signs))}
+        idx = np.arange(z.size)
+        on = zr == 0.0
+        ax, off = idx[on], idx[~on]
+        small = ax[r[ax] <= _SERIES_RADIUS]
+        big = ax[~(r[ax] <= _SERIES_RADIUS)]
         # U(a, b, z) at every z, and U(b - a, b, -z) at the z beyond the
         # series radius: one exp per |z| serves the rows of both
         U = np.empty(z.size, dtype=complex)
         U2 = np.empty(z.size, dtype=complex)
-        mr, mi = -zr, -zi
-        tail = idx[~(r <= _ASYMPT_RADIUS)]
+        tail = ax[~(r[ax] <= _ASYMPT_RADIUS)]
         if tail.size:
             U[tail] = _u_asymptotic(a, b, zr[tail], zi[tail])
-            U2[tail] = _u_asymptotic(b - a, b, mr[tail], mi[tail])
-        for theta, ks in _rays(zr, zi, idx[r <= _ASYMPT_RADIUS]):
+            U2[tail] = _u_asymptotic(b - a, b, -zr[tail], -zi[tail])
+        rows = ax[r[ax] <= _ASYMPT_RADIUS]
+        up = zi[rows] > 0.0
+        for theta, ks in ((-_HALF_PI, rows[up]), (_HALF_PI, rows[~up])):
+            if not ks.size:
+                continue
             weights, scale = _es_weights(a, b, theta)
             near = ks[r[ks] <= _SERIES_RADIUS]
             if near.size:
                 _put(U, near, _row_sum(r[near], weights)[0], scale)
-            for theta2, ks2 in _rays(mr, mi, ks[~(r[ks] <= _SERIES_RADIUS)]):
-                weights2, scale2 = _es_weights(b - a, b, theta2)
+            ks2 = ks[~(r[ks] <= _SERIES_RADIUS)]
+            if ks2.size:
+                weights2, scale2 = _es_weights(b - a, b, -theta)
                 row, row2 = _row_sum(r[ks2], weights, weights2)
                 _put(U, ks2, row, scale)
                 _put(U2, ks2, row2, scale2)
+        # every other z on its own, those inside the series radius first:
+        # only there can U fail (z on the negative real axis), and U names
+        # its conditions before any series or e^z runs, as on the axis
         F = np.empty(z.size, dtype=complex)
+        inside = r[off] <= _SERIES_RADIUS
+        for ks in (off[inside], off[~inside]):
+            for k in ks.tolist():
+                F[k], U[k] = kummer_FU(a, b, z[k])
         if small.size:
             F.real[small], F.imag[small] = _hyp_series_many(a, b, zr[small], zi[small])
         if big.size:
             br, bi = zr[big], zi[big]
-            k1, k2 = (np.array(col) for col in zip(*(factors[y] for y in signs)))
+            k1, k2 = (np.array(col) for col in zip(*(factors[y] for y in np.sign(bi).tolist())))
             t1 = cmul(k1.real, k1.imag, U.real[big], U.imag[big])
             t2 = cmul(*cmul(k2.real, k2.imag, *each(cmath.exp, br, bi)),
                       U2.real[big], U2.imag[big])

@@ -43,10 +43,10 @@ def _scale(lo: float, hi: float, px_lo: float, px_hi: float):
     return f
 
 
-def scatter_svg(points, x_label: str = "x", y_label: str = "y") -> bytes:
-    """Scatter plot; points is an iterable of (x, y)."""
+def scatter_svg(points) -> bytes:
+    """Scatter plot; points is an iterable of (N, E)."""
     pts = [(float(x), float(y)) for x, y in points]
-    body = _axes(x_label, y_label)
+    body = _axes("N", "E")
     if pts:
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
@@ -60,12 +60,11 @@ def scatter_svg(points, x_label: str = "x", y_label: str = "y") -> bytes:
     return _document(body)
 
 
-def heatmap_svg(e_edges, x_edges, mass, x_label: str = "x",
-                y_label: str = "E") -> bytes:
+def heatmap_svg(e_edges, x_edges, mass) -> bytes:
     """Heatmap of a normalized 2D histogram (rows = E bins, cols = x bins)."""
     n_e = len(e_edges) - 1
     n_x = len(x_edges) - 1
-    body = _axes(x_label, y_label)
+    body = _axes("x", "E")
     peak = max((max(row) for row in mass), default=0.0)
     fx = _scale(float(x_edges[0]), float(x_edges[-1]), _ML, _W - _MR)
     fy = _scale(float(e_edges[0]), float(e_edges[-1]), _H - _MB, _MT)
@@ -88,9 +87,9 @@ def heatmap_svg(e_edges, x_edges, mass, x_label: str = "x",
     return _document(body)
 
 
-def curves_svg(curves, x_label: str = "q", y_label: str = "density") -> bytes:
-    """Polyline plot; curves is a list of (name, color, [(x, y), ...])."""
-    body = _axes(x_label, y_label)
+def curves_svg(curves) -> bytes:
+    """Polyline plot; curves is a list of (name, color, [(q, density), ...])."""
+    body = _axes("q", "density")
     all_pts = [p for _, _, pts in curves for p in pts]
     if all_pts:
         xs = [p[0] for p in all_pts]

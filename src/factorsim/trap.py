@@ -289,21 +289,18 @@ class TrapPlan:
     diagnostics: dict = field(default_factory=dict)
 
 
-def plan_trap(
-    N: float,
-    G: float,
-    rho_m: float,
-    particle: str | Particle = "electron",
-    zero_index: int = 0,
-) -> TrapPlan:
+def plan_trap(N: float, rho_m: float, particle: str | Particle = "electron",
+              zero_index: int = 0) -> TrapPlan:
     """Size a trap that encodes N with q_G set to a wavefunction zero.
 
     q_G is the (zero_index+1)-th zero of the exact E = 1 wavefunction;
-    the saddle-radius sizing relation fixes omega_z from rho_m, and the shifted cyclotron is
-    fine-tuned so the encodable-N relation reproduces N. A hierarchy ratio
-    below 10 or a field above 10 T rejects the plan, naming the failing
-    quantity.
+    the saddle-radius relation fixes omega_z from rho_m, and the shifted
+    cyclotron is tuned so the encodable-N relation reproduces N. A bad N,
+    a hierarchy ratio below 10 or a field above 10 T rejects the plan,
+    naming it.
     """
+    if not 0.0 < N < math.inf:
+        raise TrapPlanError(f"N = {N} must be positive and finite")
     if isinstance(particle, str):
         if particle not in PARTICLES:
             raise TrapPlanError(f"unknown particle {particle!r}")
@@ -330,8 +327,6 @@ def plan_trap(
     params.validate()
 
     k_m_eff = math.pi * SQRT2 / (lg * (omega_z / omega_c_prime))
-    spacing_sim = 2.0 * math.pi / (k_m_eff * lg)
-    spacing_trap = SQRT2 * omega_z / omega_c_prime
     enc = encodable_N(q_G, ratio, rho_m, particle)
     return TrapPlan(
         params=params,
@@ -341,8 +336,8 @@ def plan_trap(
         zero_index=zero_index,
         ratio_wc_wz=ratio,
         k_m_effective=k_m_eff,
-        level_spacing_sim=spacing_sim,
-        level_spacing_trap=spacing_trap,
+        level_spacing_sim=2.0 * math.pi / (k_m_eff * lg),
+        level_spacing_trap=SQRT2 * omega_z / omega_c_prime,
         flux_quanta=flux_quanta(rho_m, B),
         measurement_budget=measurements_budget(N),
         diagnostics={

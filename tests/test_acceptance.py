@@ -217,7 +217,7 @@ def test_acceptance_09_fig2_desk_scale(engine, zeros):
 
 
 def test_acceptance_10_fig3_zero_match():
-    plan = trap.plan_trap(10969262131, 0.0, 3e-3, "electron")
+    plan = trap.plan_trap(10969262131, 3e-3, "electron")
     rep = trap.zero_match_report(1.0, 1.0, 8.0, plan.params)
     gaps = [zm.gap for zm in rep]
     half = len(gaps) // 2
@@ -244,7 +244,7 @@ def test_acceptance_11_trap_planning_bound():
     w1 = trap.size_to_axial(3e-3, 47.0)
     rho = trap.axial_to_size(w1, 47.0)
     rt1 = abs(rho - 3e-3) / 3e-3
-    plan = trap.plan_trap(10969262131, 0.0, 3e-3, "electron")
+    plan = trap.plan_trap(10969262131, 3e-3, "electron")
     rt2 = abs(plan.N_encodable - 10969262131) / 10969262131
     p = plan.params
     hier = (p.omega_c >= math.sqrt(2.0) * p.omega_z

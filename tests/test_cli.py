@@ -8,7 +8,7 @@ from test_ensemble import Int64EdgeEngine
 
 from factorsim import cli, qsieve, spectral, svgplot
 from factorsim.cli import run
-from factorsim.ensemble import EnsembleQuery, enumerate_ensemble
+from factorsim.ensemble import EnsembleQuery, enumerate_ensemble, sqrt_index
 
 
 def _run(capsys, *argv):
@@ -183,7 +183,7 @@ def test_fig1_and_ensemble_rows_equal_entry_reference(tmp_path, capsys, engine, 
     g = cli._g
     assert fig1.read_text().splitlines()[1:] == [f"{g(float(e.E))},{e.N}" for e in entries]
     assert (tmp_path / "fig1.csv.svg").read_bytes() == svgplot.scatter_svg(
-        [(e.N, float(e.E)) for e in entries], x_label="N", y_label="E")
+        [(e.N, float(e.E)) for e in entries])
     assert ens.read_text().splitlines()[1:] == [
         ",".join([*map(str, (e.x, e.y, e.N, e.j, e.pix, e.piy)),
                   g(float(e.E)), g(float(e.q)), g(float(e.p))]) for e in entries]
@@ -303,7 +303,7 @@ def test_density_csv_equals_per_cell_reference():
 
 def test_trap_plan_json(capsys):
     code, out, _ = _run(capsys, "trap", "plan", "--N", "10969262131",
-                        "--G", "0", "--rho-m", "3", "--particle", "electron")
+                        "--rho-m", "3", "--particle", "electron")
     assert code == 0
     data = json.loads(out)
     assert abs(data["q_G"] - 2.82765) < 1e-3
@@ -383,7 +383,7 @@ def test_config_takes_strings_and_booleans_for_untyped_flags(tmp_path, capsys, m
 def test_config_run_leaves_the_next_run_its_defaults(tmp_path, capsys):
     _, plain, _ = _run(capsys, "trap", "plan", "--N", "1e10")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"G": 0.2, "zero-index": 1}))
+    cfg.write_text(json.dumps({"rho-m": 2.5, "zero-index": 1}))
     code, configured, _ = _run(capsys, "--config", str(cfg), "trap", "plan", "--N", "1e10")
     assert code == 0 and configured != plain
     code, again, _ = _run(capsys, "trap", "plan", "--N", "1e10")
@@ -409,3 +409,33 @@ def test_empty_svg_is_minimal_valid():
     assert a == b
     assert a.startswith(b"<?xml") and b"<rect" in a and b"</svg>" in a
     assert b"circle" not in a
+
+
+def test_trap_commands_name_a_bad_N(tmp_path, capsys):
+    """The trap plan behind trap plan, trap zeromatch and fig3 names an N
+    that is not positive and finite before it sizes anything."""
+    for N in ("-1", "nan"):
+        for argv in (["trap", "plan", "--N", N],
+                     ["trap", "zeromatch", "--N", N, "--out", str(tmp_path / "zm.csv")],
+                     ["fig3", "--N", N, "--out", str(tmp_path / "fig3.csv")]):
+            code, out, err = _run(capsys, *argv)
+            assert (code, out) == (2, "") and json.loads(err) == {
+                "error": "domain", "message": f"N = {float(N)} must be positive and finite"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sieve_invert_takes_j_from_sqrt_index(capsys, monkeypatch):
+    """Without --j, sieve invert takes j = pi(isqrt(N)) from
+    `ensemble.sqrt_index`, which names an N below 4."""
+    seen = []
+
+    def recording(N, engine):
+        seen.append(N)
+        return sqrt_index(N, engine)
+
+    monkeypatch.setattr(cli, "sqrt_index", recording)
+    code, out, _ = _run(capsys, "sieve", "invert", "--E", "1.00441815", "--N", "10969262131")
+    assert code == 0 and json.loads(out)["j"] == 10000 and seen == [10969262131]
+    code, out, err = _run(capsys, "sieve", "invert", "--E", "1.0", "--N", "3")
+    assert (code, out) == (2, "") and json.loads(err) == {
+        "error": "domain", "message": "sqrt_index requires N >= 4"}

@@ -418,3 +418,59 @@ def test_family_errors():
         U = KummerFamily(ALPHA1, b).FU(np.array([1j]))[1]
         assert _bits(U) == _bits([kummer_U(ALPHA1, b, 1j)])
     assert KummerFamily(ALPHA1, B32).FU(np.array([], dtype=complex))[1].size == 0
+
+
+@pytest.mark.parametrize("lanes_min", ["default", "array"])
+def test_family_routes_off_axis_z_to_scalar(lanes_min, monkeypatch):
+    """The array regimes take every z on the imaginary axis, either sign of
+    zero, both half-axes and |z| on both sides of each radius; each other
+    z takes scalar `kummer_FU` exactly once, and every value is the scalar
+    one bit for bit."""
+    if lanes_min == "array":
+        monkeypatch.setattr(kummer, "_LANES_MIN", 0)
+    calls = []
+
+    def counted(a, b, z):
+        calls.append(z)
+        return special.kummer_FU(a, b, z)
+
+    monkeypatch.setattr(kummer, "kummer_FU", counted)
+    ys = [0.5, 2.9, 3.0, 3.1, 40.0, 74.9, 75.0, 75.1, 400.0]
+    axis = [complex(s0, sy * y) for s0 in (0.0, -0.0) for sy in (1.0, -1.0) for y in ys]
+    rng = np.random.default_rng(28)
+    rs = np.array(ys * 2)
+    tilt = np.where(rng.random(rs.size) < 0.5, 0.5, -0.5) * np.pi + rng.uniform(-0.2, 0.2, rs.size)
+    tilted = (rs * np.exp(1j * tilt)).tolist() + [complex(1e-300, 5.0), complex(-1e-300, -5.0)]
+    zs = np.array(axis + tilted)
+    zs = zs[rng.permutation(zs.size)]
+    for family, ab in _FAMILIES.items():
+        a, b = ab(0.9)
+        calls.clear()
+        F, U = KummerFamily(a, b).FU(zs)
+        assert sorted(_bits(calls)) == sorted(_bits(tilted)), family
+        assert _bits(F) == _bits([kummer_F(a, b, z) for z in zs.tolist()]), family
+        assert _bits(U) == _bits([kummer_U(a, b, z) for z in zs.tolist()]), family
+
+
+@pytest.mark.parametrize("zs, a, error, what", [
+    # z = 0 is named before anything else runs
+    ([-2.0, 0j], ALPHA1, SpecialFunctionError, "U undefined at z = 0"),
+    ([800 + 1j, 0j, 1j], ALPHA1, SpecialFunctionError, "U undefined at z = 0"),
+    # F's conditions at any z beyond the series radius come before every U
+    ([-2.0, 1j, 5.0], ALPHA1, SpecialFunctionError, "z off the real axis"),
+    ([-2.0, 1j, 5j], -0.25 + 1j, SpecialFunctionError, "Re b > Re a > 0"),
+    ([800 + 1j, 1j], -0.25 + 1j, SpecialFunctionError, "Re b > Re a > 0"),
+    # a U condition, at a z on the axis or off it, before any series or e^z
+    ([-2.0, 1j], -0.25 + 1j, SpecialFunctionError, "Re a > 0"),
+    ([2 + 1j, -1j], -0.25 + 1j, SpecialFunctionError, "Re a > 0"),
+    ([800 + 1j, -2.0], ALPHA1, SpecialFunctionError, "negative real axis"),
+    ([800 + 1j, 1j, complex(-2.0, -0.0), 100j], ALPHA1, SpecialFunctionError,
+     "negative real axis"),
+    ([-1j, 800 + 1j, 100j], ALPHA1, OverflowError, "math range error"),
+])
+def test_family_mixed_errors_name_the_first(zs, a, error, what):
+    """An array with several failing z, on the axis and off it, raises
+    the first error of the regimes' order: z = 0, F's conditions, U's
+    conditions, then e^z."""
+    with pytest.raises(error, match=what):
+        KummerFamily(a, B32).FU(np.array(zs, dtype=complex))

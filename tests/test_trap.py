@@ -38,7 +38,7 @@ N_FIG1 = 10969262131
 
 @pytest.fixture(scope="module")
 def plan():
-    return plan_trap(N_FIG1, 0.0, 3e-3, "electron")
+    return plan_trap(N_FIG1, 3e-3, "electron")
 
 
 def test_unit_map_examples(plan):
@@ -168,26 +168,26 @@ def test_plan_fig1_N(plan):
 
 
 def test_plan_second_zero_rescales_omega_z(plan):
-    plan2 = plan_trap(N_FIG1, 0.0, 3e-3, "electron", zero_index=1)
+    plan2 = plan_trap(N_FIG1, 3e-3, "electron", zero_index=1)
     expect = (plan2.q_G / plan.q_G) ** 2
     assert plan2.params.omega_z / plan.params.omega_z == pytest.approx(expect, rel=1e-12)
 
 
 def test_plan_rejections():
     with pytest.raises(TrapPlanError) as err:
-        plan_trap(1e26, 0.0, 3e-3, "electron")
+        plan_trap(1e26, 3e-3, "electron")
     assert "B" in str(err.value) and "flux" in str(err.value)
     with pytest.raises(TrapPlanError) as err:
-        plan_trap(20000, 0.0, 3e-3, "electron")
+        plan_trap(20000, 3e-3, "electron")
     assert "omega" in str(err.value)
     with pytest.raises(TrapPlanError):
-        plan_trap(N_FIG1, 0.0, 3e-3, "unobtainium")
+        plan_trap(N_FIG1, 3e-3, "unobtainium")
     with pytest.raises(TrapPlanError, match="zero index -1 must be >= 0"):
-        plan_trap(N_FIG1, 0.0, 3e-3, "electron", zero_index=-1)
+        plan_trap(N_FIG1, 3e-3, "electron", zero_index=-1)
 
 
 def test_plan_proton_particle():
-    plan = plan_trap(N_FIG1, 0.0, 3e-3, "proton")
+    plan = plan_trap(N_FIG1, 3e-3, "proton")
     assert plan.params.particle is PARTICLES["proton"]
     assert plan.params.omega_z < size_to_axial(3e-3, plan.q_G, M_ELECTRON)
 
@@ -254,7 +254,7 @@ def test_trap_psi_changes_sign_once_at_zero(plan, E, q):
 def test_zero_scans_take_few_rounds(zero_scans):
     # the three scans of fig3 (q_G, the exact and the trap zeros) and the
     # zero scan of the benchmark: a bisection down to ZERO_XTOL takes ~35
-    zero_match_report(1.0, 1.0, 8.0, plan_trap(N_FIG1, 0.0, 3e-3, "electron").params)
+    zero_match_report(1.0, 1.0, 8.0, plan_trap(N_FIG1, 3e-3, "electron").params)
     spectral.wavefunction_zeros(1.0, 12.0)
     assert len(zero_scans) == 4
     assert max(rounds for *_, rounds in zero_scans) <= 12

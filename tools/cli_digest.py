@@ -74,7 +74,7 @@ RUNS = [
     ("zeromatch-r75", ["trap", "zeromatch", "--E", "1", "--q-lo", "1", "--q-hi", "10",
                        "--out", "zm.csv"]),
     ("plan-desk", ["trap", "plan", "--N", N_DESK]),
-    ("plan-proton", ["trap", "plan", "--N", "1e12", "--G", "0.2", "--rho-m", "2",
+    ("plan-proton", ["trap", "plan", "--N", "1e12", "--rho-m", "2",
                      "--particle", "proton", "--zero-index", "1"]),
     ("solve-20", ["spectrum", "solve", "--qm", "20", "--guess", "1.0"]),
     ("solve-46.6", ["spectrum", "solve", "--qm", "46.6", "--guess", "1.0"]),
